@@ -5,7 +5,6 @@ reproducible experiment harness.
 """
 
 from .baselines import (
-    DiscountState,
     degree_discount_select,
     max_degree_select,
     single_discount_select,
@@ -14,10 +13,8 @@ from .diffusion import (
     BenefitEstimator,
     CascadeResult,
     ExactBenefitOracle,
-    LiveEdgeSample,
-    earned_benefit_on_sample,
+    draw_worlds,
     exact_benefit_bruteforce,
-    sample_live_graph,
     simulate_cascade,
 )
 from .graph import (
@@ -49,7 +46,6 @@ from .hop import (
     HopConfig,
     ScoreTable,
     compute_scores,
-    h_hop_in_neighborhood,
     hop_based_select,
     influence_probability,
 )
@@ -59,12 +55,10 @@ __all__ = [
     "BenefitEstimator",
     "CascadeResult",
     "DegreeProportionalCosts",
-    "DiscountState",
     "ExactBenefitOracle",
     "ExperimentConfig",
     "GraphParseError",
     "HopConfig",
-    "LiveEdgeSample",
     "NodeEconomics",
     "RandomBenefits",
     "RandomCosts",
@@ -81,11 +75,10 @@ __all__ = [
     "best_single_node",
     "compute_scores",
     "degree_discount_select",
-    "earned_benefit_on_sample",
+    "draw_worlds",
     "exact_benefit_bruteforce",
     "generate_synthetic",
     "greedy_ratio_select",
-    "h_hop_in_neighborhood",
     "hop_based_select",
     "influence_probability",
     "lazy_greedy_select",
@@ -93,7 +86,6 @@ __all__ = [
     "max_degree_select",
     "modified_greedy_select",
     "run_experiment",
-    "sample_live_graph",
     "save_edge_list",
     "simulate_cascade",
 ]

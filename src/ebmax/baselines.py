@@ -10,23 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .greedy import SelectionResult, TraceEntry
-
-
-@dataclass
-class DiscountState:
-    """Scoring state for the discount heuristics.
-
-    `effective` only ever decreases during a run, and `seeded_neighbors`
-    never exceeds a node's original degree.
-    """
-
-    effective: np.ndarray
-    seeded_neighbors: np.ndarray
 
 
 def _check_budget(budget):
@@ -92,13 +79,12 @@ def _discounted_select(graph, economics, budget, discount, estimator):
     amount subtracted from the original degree. Effective degrees only ever
     decrease, so a stale heap entry is always an upper bound and lazy
     deletion is safe. Unaffordable nodes are dropped for good (budgets only
-    shrink).
+    shrink). `seeded_neighbors` never exceeds a node's original degree.
     """
     n = graph.node_count
     deg = _base_degree(graph).astype(np.float64)
-    state = DiscountState(effective=deg.copy(), seeded_neighbors=np.zeros(n, dtype=np.int64))
-    effective = state.effective
-    seeded_neighbors = state.seeded_neighbors
+    effective = deg.copy()
+    seeded_neighbors = np.zeros(n, dtype=np.int64)
     neighbor_prob = _neighbor_probs(graph)
     cost = economics.cost
 

@@ -46,7 +46,6 @@ def build_parser():
     run.add_argument("--seed", type=int, default=0, help="master seed")
     run.add_argument("--reps", type=int, default=5, help="held-out evaluation repetitions")
     run.add_argument("--out", required=True, help="output CSV path")
-    run.add_argument("--workers", type=int, default=1, help="estimator worker threads")
     run.add_argument(
         "--no-timing",
         action="store_true",
@@ -101,7 +100,6 @@ def main(argv=None):
         master_seed=args.seed,
         repetitions=args.reps,
         output_path=args.out,
-        workers=args.workers,
         record_timing=not args.no_timing,
         allow_eager_on_large=args.allow_igaag_large,
         skip_zero_scores=args.skip_zero,

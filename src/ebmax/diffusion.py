@@ -1,18 +1,16 @@
 """Independent-cascade simulation and Monte Carlo estimation of earned benefit.
 
-The estimator pre-draws a fixed set of live-edge samples and reuses them for
-every query. On a fixed sample set the estimate is a coverage function, so it
+The estimator pre-draws a fixed list of live-edge worlds and reuses it for
+every query. On a fixed world list the estimate is a coverage function, so it
 is exactly monotone and submodular, which the lazy selection in
-:mod:`ebmax.greedy` relies on. Per-sample benefits are reduced with
+:mod:`ebmax.greedy` relies on. Per-world benefits are reduced with
 ``math.fsum`` (exactly rounded, order-independent), so results do not depend
-on worker count or reduction order.
+on reduction order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,15 +130,7 @@ def simulate_cascade(graph, seeds, rng, record_history=False):
     return CascadeResult(influenced=active, steps=steps, history=history)
 
 
-# --- live-edge sampling -------------------------------------------------------
-
-@dataclass
-class LiveEdgeSample:
-    """One live-edge subgraph: kept arc indices plus reachability-ready adjacency."""
-
-    kept: np.ndarray
-    adjacency: dict
-
+# --- live-edge worlds ----------------------------------------------------------
 
 def _build_adjacency(kept, src_list, dst_list):
     adjacency = {}
@@ -154,36 +144,46 @@ def _build_adjacency(kept, src_list, dst_list):
     return adjacency
 
 
-def sample_live_graph(graph, index, master_seed):
-    """Draw live-edge sample `index`; fully determined by (master_seed, index)."""
+def draw_worlds(graph, master_seed, count, first=0):
+    """Live-edge worlds first .. first+count-1, each an adjacency dict
+    (node -> live out-neighbors in arc order).
+
+    World i keeps arc a when the Philox draw at (master_seed, i, a) falls
+    below the arc's probability, so a world does not depend on `first`,
+    `count` or how the draws are chunked.
+    """
     graph.require_probabilities()
-    if index < 0:
-        raise ValueError("sample index must be non-negative")
-    row = _sample_rows(master_seed, index, 1, graph.arc_count)[0]
-    kept = np.nonzero(row < graph.prob)[0]
-    adjacency = _build_adjacency(kept.tolist(), graph.src.tolist(), graph.dst.tolist())
-    return LiveEdgeSample(kept=kept, adjacency=adjacency)
-
-
-def earned_benefit_on_sample(sample, economics, seeds):
-    """Total benefit of targets reachable from the seed set over live arcs."""
-    key = _canonical_seeds(seeds, economics.node_count)
-    covered = _reach(sample.adjacency, key)
-    return _benefit_of(covered, economics.target_set, economics.target_benefit)
+    if first < 0:
+        raise ValueError("world index must be non-negative")
+    m = graph.arc_count
+    src_list = graph.src.tolist()
+    dst_list = graph.dst.tolist()
+    worlds = []
+    chunk = max(1, (4 << 20) // max(1, _sample_stride(m)))
+    stop = first + count
+    for lo in range(first, stop, chunk):
+        hi = min(lo + chunk, stop)
+        keep = _sample_rows(master_seed, lo, hi - lo, m) < graph.prob
+        for row in keep:
+            worlds.append(_build_adjacency(np.flatnonzero(row).tolist(), src_list, dst_list))
+    return worlds
 
 
 # --- Monte Carlo estimator ------------------------------------------------------
 
 class BenefitEstimator:
-    """Monte Carlo earned-benefit estimates over a fixed pre-drawn sample set.
+    """Monte Carlo earned-benefit estimates over a fixed pre-drawn world list.
 
-    The same R samples back every query, so repeated calls with the same seed
+    The same R worlds back every query, so repeated calls with the same seed
     set return identical values, and marginal gains are exact differences of
     two estimates. `evaluations` counts estimate/marginal-gain queries; the
     selection algorithms report it to compare work done.
+
+    The coverage of the last seed set queried is kept: the greedy selectors
+    ask for the gains of many nodes against one seed set in a row.
     """
 
-    def __init__(self, graph, economics, samples=10000, master_seed=0, workers=1):
+    def __init__(self, graph, economics, samples=10000, master_seed=0):
         if samples < 1:
             raise ValueError("sample count must be at least 1")
         if economics.node_count != graph.node_count:
@@ -193,90 +193,41 @@ class BenefitEstimator:
         self.economics = economics
         self.samples = int(samples)
         self.master_seed = int(master_seed)
-        self.workers = max(1, int(workers))
         self.evaluations = 0
         self._target_set = economics.target_set
         self._target_benefit = economics.target_benefit
-        self._cache = OrderedDict()
-        self._cache_limit = 4
-        self._live = self._draw_samples()
-
-    def _draw_samples(self):
-        m = self.graph.arc_count
-        prob = self.graph.prob
-        src_list = self.graph.src.tolist()
-        dst_list = self.graph.dst.tolist()
-        live = []
-        chunk = max(1, (4 << 20) // max(1, _sample_stride(m)))
-        for lo in range(0, self.samples, chunk):
-            hi = min(lo + chunk, self.samples)
-            rows = _sample_rows(self.master_seed, lo, hi - lo, m)
-            keep = rows < prob
-            for r in range(hi - lo):
-                kept = np.nonzero(keep[r])[0]
-                live.append(
-                    LiveEdgeSample(
-                        kept=kept,
-                        adjacency=_build_adjacency(kept.tolist(), src_list, dst_list),
-                    )
-                )
-        return live
-
-    @property
-    def live_samples(self):
-        return self._live
+        self._last = None
+        self.worlds = draw_worlds(graph, self.master_seed, self.samples)
 
     def _coverage(self, key):
-        """Per-sample covered sets, covered-target benefit lists, values, and the mean."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        R = self.samples
-        covered = [None] * R
-        bvals = [None] * R
-        vals = np.empty(R, dtype=np.float64)
+        """(key, per-world covered sets, covered-target benefit lists, values, mean)."""
+        last = self._last
+        if last is not None and last[0] == key:
+            return last
         tset = self._target_set
         tb = self._target_benefit
-
-        def fill(lo, hi):
-            for p in range(lo, hi):
-                cov = _reach(self._live[p].adjacency, key)
-                hit = [tb[t] for t in cov & tset]
-                covered[p] = cov
-                bvals[p] = hit
-                vals[p] = math.fsum(hit)
-
-        if self.workers == 1 or R < 64:
-            fill(0, R)
-        else:
-            step = (R + self.workers - 1) // self.workers
-            bounds = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(lambda b: fill(*b), bounds))
-        total = math.fsum(vals.tolist()) / R
-        entry = (covered, bvals, vals, total)
-        self._cache[key] = entry
-        while len(self._cache) > self._cache_limit:
-            self._cache.popitem(last=False)
-        return entry
+        covered = [_reach(adjacency, key) for adjacency in self.worlds]
+        bvals = [[tb[t] for t in cov & tset] for cov in covered]
+        vals = [math.fsum(hit) for hit in bvals]
+        self._last = (key, covered, bvals, vals, math.fsum(vals) / self.samples)
+        return self._last
 
     def estimate(self, seeds):
-        """Mean earned benefit of the seed set over the fixed samples."""
+        """Mean earned benefit of the seed set over the fixed worlds."""
         key = _canonical_seeds(seeds, self.graph.node_count)
         self.evaluations += 1
-        return self._coverage(key)[3]
+        return self._coverage(key)[4]
 
     def per_sample_benefits(self, seeds):
-        """Copy of the per-sample benefit values (for spread diagnostics)."""
+        """Per-world benefit values as a new array (for spread diagnostics)."""
         key = _canonical_seeds(seeds, self.graph.node_count)
-        return self._coverage(key)[2].copy()
+        return np.array(self._coverage(key)[3], dtype=np.float64)
 
     def marginal_gain(self, seeds, u):
-        """estimate(seeds + u) - estimate(seeds), reusing cached reachability.
+        """estimate(seeds + u) - estimate(seeds), reusing the cached coverage.
 
-        Bit-identical to computing the two estimates separately: per-sample
-        covered sets are extended exactly, and fsum makes each per-sample
+        Bit-identical to computing the two estimates separately: per-world
+        covered sets are extended exactly, and fsum makes each per-world
         value independent of how the covered set was accumulated.
         """
         key = _canonical_seeds(seeds, self.graph.node_count)
@@ -284,21 +235,20 @@ class BenefitEstimator:
         if u in key:
             raise ValueError(f"node {u} is already in the seed set")
         self.evaluations += 1
-        covered, bvals, vals, total = self._coverage(key)
+        _, covered, bvals, vals, total = self._coverage(key)
         tset = self._target_set
         tb = self._target_benefit
-        new_vals = vals.copy()
-        live = self._live
+        new_vals = list(vals)
+        worlds = self.worlds
         for p in range(self.samples):
             cov = covered[p]
             if u in cov:
                 continue
-            fresh = _reach_pruned(live[p].adjacency, u, cov)
+            fresh = _reach_pruned(worlds[p], u, cov)
             gained = [tb[t] for t in fresh & tset]
             if gained:
                 new_vals[p] = math.fsum(bvals[p] + gained)
-        new_total = math.fsum(new_vals.tolist()) / self.samples
-        return new_total - total
+        return math.fsum(new_vals) / self.samples - total
 
 
 # --- exact expectation ----------------------------------------------------------

@@ -61,7 +61,7 @@ class SocialGraph:
             loops = self.src == self.dst
             if loops.any():
                 raise ValueError(f"self-loop on node {self.src[int(np.argmax(loops))]}")
-            bad_p = (self.prob < 0.0) | (self.prob > 1.0)
+            bad_p = ~((self.prob >= 0.0) & (self.prob <= 1.0))  # NaN fails both
             if bad_p.any():
                 a = int(np.argmax(bad_p))
                 raise ValueError(
@@ -146,13 +146,6 @@ class SocialGraph:
             original_ids=self.original_ids,
         )
 
-    def arc_probability(self, u, v):
-        """Probability of arc u->v, or None if the arc does not exist."""
-        for w, a in zip(self.out_nbrs[u], self.out_arcs[u]):
-            if w == v:
-                return float(self.prob[a])
-        return None
-
 
 @dataclass(frozen=True)
 class NodeEconomics:
@@ -169,12 +162,19 @@ class NodeEconomics:
         n = len(self.cost)
         if len(self.benefit) != n:
             raise ValueError("cost and benefit vectors must have equal length")
-        if np.any(self.cost <= 0.0):
-            raise ValueError("every selection cost must be positive")
-        if np.any(self.benefit < 0.0):
-            raise ValueError("benefits must be non-negative")
+        bad = ~(np.isfinite(self.cost) & (self.cost > 0.0))
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(f"selection cost {self.cost[v]} of node {v} is not positive and finite")
+        bad = ~(np.isfinite(self.benefit) & (self.benefit >= 0.0))
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(f"benefit {self.benefit[v]} of node {v} is not non-negative and finite")
         if len(self.targets) and (self.targets[0] < 0 or self.targets[-1] >= n):
             raise ValueError("target ids outside node range")
+        repeated = self.targets[1:] == self.targets[:-1]
+        if repeated.any():
+            raise ValueError(f"duplicate target id {self.targets[int(np.argmax(repeated))]}")
         mask = np.zeros(n, dtype=bool)
         mask[self.targets] = True
         if np.any(self.benefit[~mask] != 0.0):

@@ -39,52 +39,40 @@ def _check_budget(budget):
         raise ValueError(f"budget must be positive, got {budget}")
 
 
-def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True):
-    """Incremental greedy: each round add the affordable node with the best
-    marginal gain per unit cost (ties to the lowest id).
+def _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain):
+    """Commit the nodes `pick` chooses until the budget or the gains run out.
 
-    Stops when nothing is affordable or the budget hits zero. By default it
-    also stops once the best available ratio is non-positive, since adding
-    zero-gain nodes burns budget without benefit; pass
-    ``stop_on_zero_gain=False`` for the literal always-spend loop.
+    `pick(seeds, chosen, remaining)` returns the next (node, ratio, gain)
+    among the affordable nodes not yet chosen, or None when there is none.
+    Each trace entry is charged the estimator queries made since the
+    previous commit; the final estimate of the seed set is charged to the
+    result only.
     """
     _check_budget(budget)
-    n = economics.node_count
     cost = economics.cost
     seeds = []
     chosen = set()
     remaining = float(budget)
     trace = []
     evals_start = estimator.evaluations
-    stop_reason = "no_affordable"
 
     while True:
         iter_start = estimator.evaluations
-        best_ratio = None
-        best_node = -1
-        best_gain = 0.0
-        for v in range(n):
-            if v in chosen or cost[v] > remaining:
-                continue
-            gain = estimator.marginal_gain(seeds, v)
-            ratio = gain / cost[v]
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio = ratio
-                best_node = v
-                best_gain = gain
-        if best_ratio is None:
+        best = pick(seeds, chosen, remaining)
+        if best is None:
             stop_reason = "no_affordable"
             break
-        if stop_on_zero_gain and best_ratio <= 0.0:
+        node, ratio, gain = best
+        if stop_on_zero_gain and ratio <= 0.0:
             stop_reason = "zero_gain"
             break
-        seeds.append(best_node)
-        chosen.add(best_node)
-        remaining -= float(cost[best_node])
+        seeds.append(node)
+        chosen.add(node)
+        remaining -= float(cost[node])
         trace.append(
             TraceEntry(
-                node=best_node,
-                gain=best_gain,
+                node=node,
+                gain=gain,
                 budget_left=remaining,
                 evaluations=estimator.evaluations - iter_start,
             )
@@ -102,6 +90,31 @@ def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True)
         evaluations=estimator.evaluations - evals_start,
         stop_reason=stop_reason,
     )
+
+
+def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True):
+    """Incremental greedy: each round add the affordable node with the best
+    marginal gain per unit cost (ties to the lowest id).
+
+    Stops when nothing is affordable or the budget hits zero. By default it
+    also stops once the best available ratio is non-positive, since adding
+    zero-gain nodes burns budget without benefit; pass
+    ``stop_on_zero_gain=False`` for the literal always-spend loop.
+    """
+    cost = economics.cost
+
+    def pick(seeds, chosen, remaining):
+        best = None
+        for v in range(economics.node_count):
+            if v in chosen or cost[v] > remaining:
+                continue
+            gain = estimator.marginal_gain(seeds, v)
+            ratio = gain / cost[v]
+            if best is None or ratio > best[1]:
+                best = (v, ratio, gain)
+        return best
+
+    return _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain)
 
 
 def best_single_node(estimator, economics, budget):
@@ -162,95 +175,42 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
 def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
     """Cost-ratio greedy with lazy re-evaluation of cached marginal gains.
 
-    Keeps a max-heap of gain-per-cost values with per-node currency flags.
-    A popped node whose cached value is current is committed outright;
-    otherwise its gain is recomputed against the present seed set, marked
-    current, and pushed back. Because stale values upper-bound true ones,
-    the committed sequence is identical to greedy_ratio_select on the same
-    estimator, at a fraction of the evaluations.
+    Keeps a max-heap of gain-per-cost values, each cached with the round it
+    was computed in. A popped node whose cached value is from the current
+    round is committed outright; otherwise its gain is recomputed against
+    the present seed set and pushed back. Because stale values upper-bound
+    true ones, the committed sequence is identical to greedy_ratio_select on
+    the same estimator, at a fraction of the evaluations.
     """
-    _check_budget(budget)
-    n = economics.node_count
     cost = economics.cost
-    seeds = []
-    chosen = set()
-    remaining = float(budget)
-    trace = []
-    evals_start = estimator.evaluations
-    stop_reason = "no_affordable"
-
     heap = []
-    cached_ratio = {}
-    current = {}
-    iter_start = estimator.evaluations
-    for v in range(n):
-        if cost[v] > remaining:
-            continue
+    cached = {}  # node -> (ratio, gain, round computed); unaffordable nodes dropped
+
+    def refresh(seeds, v):
         gain = estimator.marginal_gain(seeds, v)
         ratio = gain / cost[v]
-        cached_ratio[v] = (ratio, gain)
-        current[v] = True
-        heap.append((-ratio, v))
-    heapq.heapify(heap)
+        cached[v] = (ratio, gain, len(seeds))
+        return (-ratio, v)
 
-    while True:
-        committed = None
+    def pick(seeds, chosen, remaining):
+        if not seeds:  # first round: only now is the seed set empty
+            heap.extend(
+                refresh(seeds, v) for v in range(economics.node_count) if cost[v] <= remaining
+            )
+            heapq.heapify(heap)
         while heap:
             neg_ratio, v = heapq.heappop(heap)
-            if v in chosen:
-                continue
-            entry = cached_ratio.get(v)
-            if entry is None:
-                continue  # dropped as unaffordable earlier
-            ratio, gain = entry
-            if -neg_ratio != ratio:
-                continue  # superseded entry
+            entry = cached.get(v)
+            if v in chosen or entry is None or -neg_ratio != entry[0]:
+                continue  # committed, dropped, or superseded by a fresher entry
             if cost[v] > remaining:
                 # budgets only shrink, so this node is out for good
-                del cached_ratio[v]
-                current.pop(v, None)
+                del cached[v]
                 continue
-            if current[v]:
-                committed = (v, ratio, gain)
-                break
-            gain = estimator.marginal_gain(seeds, v)
-            ratio = gain / cost[v]
-            cached_ratio[v] = (ratio, gain)
-            current[v] = True
-            heapq.heappush(heap, (-ratio, v))
+            ratio, gain, computed = entry
+            if computed == len(seeds):
+                return v, ratio, gain
+            heapq.heappush(heap, refresh(seeds, v))
+        return None
 
-        if committed is None:
-            stop_reason = "no_affordable"
-            break
-        v, ratio, gain = committed
-        if stop_on_zero_gain and ratio <= 0.0:
-            stop_reason = "zero_gain"
-            break
-        seeds.append(v)
-        chosen.add(v)
-        remaining -= float(cost[v])
-        trace.append(
-            TraceEntry(
-                node=v,
-                gain=gain,
-                budget_left=remaining,
-                evaluations=estimator.evaluations - iter_start,
-            )
-        )
-        if remaining <= 0.0:
-            stop_reason = "budget_exhausted"
-            break
-        # new iteration: every cached gain is stale against the grown seed set
-        iter_start = estimator.evaluations
-        for w in current:
-            current[w] = False
-
-    benefit = estimator.estimate(seeds)
-    return SelectionResult(
-        seeds=seeds,
-        spent=float(budget) - remaining,
-        estimated_benefit=benefit,
-        trace=trace,
-        evaluations=estimator.evaluations - evals_start,
-        stop_reason=stop_reason,
-    )
+    return _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain)

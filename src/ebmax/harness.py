@@ -9,6 +9,7 @@ samples are disjoint from the selection-time ones.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -72,7 +73,6 @@ class ExperimentConfig:
     master_seed: int = 0
     repetitions: int = 5
     output_path: str = "results.csv"
-    workers: int = 1
     record_timing: bool = True
     allow_eager_on_large: bool = False
     skip_zero_scores: bool = False
@@ -198,7 +198,6 @@ def run_experiment(config):
         economics,
         samples=config.samples,
         master_seed=derive_seed(config.master_seed, _TAG_SELECT),
-        workers=config.workers,
     )
     heldout = [
         BenefitEstimator(
@@ -206,7 +205,6 @@ def run_experiment(config):
             economics,
             samples=config.samples,
             master_seed=derive_seed(config.master_seed, _TAG_EVAL, r),
-            workers=config.workers,
         )
         for r in range(config.repetitions)
     ]
@@ -266,13 +264,22 @@ def run_experiment(config):
 
 
 def write_csv(rows, path):
-    """Write result rows atomically (temp file + rename)."""
+    """Write result rows atomically (temp file + rename).
+
+    When the write or the rename fails, the temp file is removed and the
+    error re-raised.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for row in rows:
-            handle.write(row.as_csv() + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(CSV_HEADER + "\n")
+            for row in rows:
+                handle.write(row.as_csv() + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def parse_csv(path):

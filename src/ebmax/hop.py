@@ -36,30 +36,6 @@ class ScoreTable:
     score: np.ndarray
 
 
-def h_hop_in_neighborhood(graph, target, hops):
-    """Nodes that can reach `target` within `hops` arcs, with their hop distance.
-
-    Breadth-first over reverse arcs; the target itself is excluded. Returns
-    a dict node -> minimum hop distance.
-    """
-    target = graph.check_node(target)
-    dist = {target: 0}
-    frontier = [target]
-    in_nbrs = graph.in_nbrs
-    for d in range(1, hops + 1):
-        fresh = []
-        for x in frontier:
-            for w in in_nbrs[x]:
-                if w not in dist:
-                    dist[w] = d
-                    fresh.append(w)
-        if not fresh:
-            break
-        frontier = fresh
-    del dist[target]
-    return dist
-
-
 def _walk_influence(graph, target, hops):
     """Influence probability onto `target` for every node within `hops` reverse arcs.
 

@@ -6,9 +6,8 @@ import pytest
 from ebmax.diffusion import (
     BenefitEstimator,
     ExactBenefitOracle,
-    earned_benefit_on_sample,
+    draw_worlds,
     exact_benefit_bruteforce,
-    sample_live_graph,
     simulate_cascade,
 )
 
@@ -73,51 +72,28 @@ class TestSimulateCascade:
 class TestLiveEdgeSampling:
     def test_certain_edges_all_kept(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        s = sample_live_graph(g, 0, master_seed=1)
-        assert s.kept.tolist() == [0, 1, 2]
+        assert draw_worlds(g, master_seed=1, count=1) == [{0: [1, 2], 1: [2]}]
 
     def test_vanishing_probability_keeps_nothing(self):
-        # expected kept arcs over 1000 samples = m * 1e-9 * 1000 ~ 3e-6
+        # expected kept arcs over 1000 worlds = m * 1e-9 * 1000 ~ 3e-6
         g = make_graph(3, [(0, 1, 1e-9), (1, 2, 1e-9), (0, 2, 1e-9)])
-        total = sum(len(sample_live_graph(g, i, master_seed=2).kept) for i in range(1000))
-        assert total == 0
+        assert draw_worlds(g, master_seed=2, count=1000) == [{}] * 1000
 
     def test_deterministic_per_seed_and_index(self):
         g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)])
-        a = sample_live_graph(g, 7, master_seed=9)
-        b = sample_live_graph(g, 7, master_seed=9)
-        c = sample_live_graph(g, 8, master_seed=9)
-        assert np.array_equal(a.kept, b.kept)
-        assert a.adjacency == b.adjacency
-        assert not (np.array_equal(a.kept, c.kept) and a.adjacency == c.adjacency)
+        a = draw_worlds(g, master_seed=9, count=1, first=7)
+        b = draw_worlds(g, master_seed=9, count=1, first=7)
+        c = draw_worlds(g, master_seed=9, count=1, first=8)
+        assert a == b
+        assert a != c
 
     def test_estimator_samples_match_standalone(self):
+        # world i of a chunked draw equals a single draw of world i
         g = make_graph(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.5), (3, 4, 0.9), (4, 0, 0.2)])
         econ = make_economics(5, targets=[2])
         est = BenefitEstimator(g, econ, samples=50, master_seed=13)
         for idx in (0, 1, 17, 49):
-            standalone = sample_live_graph(g, idx, master_seed=13)
-            assert np.array_equal(est.live_samples[idx].kept, standalone.kept)
-
-
-class TestEarnedBenefitOnSample:
-    def test_empty_seed_set(self):
-        g = make_graph(2, [(0, 1, 1.0)])
-        econ = make_economics(2, targets=[1], benefits={1: 10.0})
-        s = sample_live_graph(g, 0, master_seed=0)
-        assert earned_benefit_on_sample(s, econ, set()) == 0.0
-
-    def test_seeded_target_counts_itself(self):
-        g = make_graph(2, [(0, 1, 1.0)])
-        econ = make_economics(2, targets=[1], benefits={1: 7.0})
-        s = sample_live_graph(g, 0, master_seed=0)
-        assert earned_benefit_on_sample(s, econ, {1}) == 7.0
-
-    def test_one_hop_reach(self):
-        g = make_graph(2, [(0, 1, 1.0)])
-        econ = make_economics(2, targets=[1], benefits={1: 5.0})
-        s = sample_live_graph(g, 0, master_seed=0)
-        assert earned_benefit_on_sample(s, econ, {0}) == 5.0
+            assert est.worlds[idx] == draw_worlds(g, master_seed=13, count=1, first=idx)[0]
 
 
 class TestExactBruteforce:
@@ -130,8 +106,8 @@ class TestExactBruteforce:
     def test_certain_graph_equals_sample_benefit(self):
         g = make_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         econ = make_economics(4, targets=[2, 3], benefits={2: 4.0, 3: 6.0})
-        full = sample_live_graph(g, 0, master_seed=0)
-        assert exact_benefit_bruteforce(g, econ, {0}) == earned_benefit_on_sample(full, econ, {0})
+        one_world = BenefitEstimator(g, econ, samples=1, master_seed=0)
+        assert exact_benefit_bruteforce(g, econ, {0}) == one_world.estimate({0})
 
     def test_empty_seed_set(self):
         g = make_graph(2, [(0, 1, 0.5)])
@@ -148,10 +124,11 @@ class TestExactBruteforce:
 
 class TestBenefitEstimator:
     def test_empty_seed_set_is_zero(self):
-        g = make_graph(2, [(0, 1, 0.5)])
-        econ = make_economics(2, targets=[1], benefits={1: 10.0})
-        est = BenefitEstimator(g, econ, samples=1000, master_seed=3)
-        assert est.estimate(set()) == 0.0
+        for p, samples in ((0.5, 1000), (1.0, 1)):
+            g = make_graph(2, [(0, 1, p)])
+            econ = make_economics(2, targets=[1], benefits={1: 10.0})
+            est = BenefitEstimator(g, econ, samples=samples, master_seed=3)
+            assert est.estimate(set()) == 0.0
 
     def test_single_edge_estimate_close_to_oracle(self):
         g = make_graph(2, [(0, 1, 0.5)])
@@ -167,6 +144,11 @@ class TestBenefitEstimator:
         for samples in (1, 7, 100):
             est = BenefitEstimator(g, econ, samples=samples, master_seed=5)
             assert est.estimate({1, 3}) == 7.0
+        # a seeded target counts itself, and a certain arc reaches its head
+        g = make_graph(2, [(0, 1, 1.0)])
+        for benefit, seeds in ((7.0, {1}), (5.0, {0})):
+            econ = make_economics(2, targets=[1], benefits={1: benefit})
+            assert BenefitEstimator(g, econ, samples=1, master_seed=0).estimate(seeds) == benefit
 
     def test_repeated_calls_identical(self):
         rng = np.random.default_rng(21)
@@ -174,17 +156,6 @@ class TestBenefitEstimator:
         est = BenefitEstimator(g, econ, samples=500, master_seed=6)
         seeds = {0, g.node_count - 1}
         assert est.estimate(seeds) == est.estimate(seeds)
-
-    def test_worker_count_does_not_change_estimates(self):
-        rng = np.random.default_rng(22)
-        g, econ = random_instance(rng, max_nodes=12, max_arcs=20)
-        results = []
-        for workers in (1, 2, 8):
-            est = BenefitEstimator(g, econ, samples=512, master_seed=77, workers=workers)
-            results.append(
-                (est.estimate({0, 1}), est.marginal_gain({0, 1}, g.node_count - 1))
-            )
-        assert results[0] == results[1] == results[2]
 
     def test_estimator_validates(self):
         g = make_graph(2, [(0, 1, 0.5)])

@@ -102,6 +102,8 @@ class TestSocialGraphInvariants:
             SocialGraph(2, [(0, 5, 0.5)])
         with pytest.raises(ValueError):
             SocialGraph(2, [(0, 1, 1.5)])
+        with pytest.raises(ValueError, match="probability nan"):
+            SocialGraph(2, [(0, 1, float("nan"))])
 
     def test_undirected_requires_mirror_pairs(self):
         with pytest.raises(ValueError, match="mirror"):
@@ -236,18 +238,27 @@ class TestAssignEconomics:
 
 class TestNodeEconomicsValidation:
     def test_rejects_nonpositive_cost(self):
-        with pytest.raises(ValueError):
-            NodeEconomics(cost=np.array([1.0, 0.0]), benefit=np.zeros(2), targets=np.array([], dtype=int))
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"cost {bad} of node 1"):
+                NodeEconomics(
+                    cost=np.array([1.0, bad]), benefit=np.zeros(2), targets=np.array([], dtype=int)
+                )
 
     def test_rejects_benefit_off_target(self):
         with pytest.raises(ValueError):
             NodeEconomics(
                 cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([0])
             )
+        # nor may a target's benefit be negative or non-finite
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"benefit {bad} of node 0"):
+                NodeEconomics(cost=np.ones(3), benefit=np.array([bad, 0.0, 0.0]), targets=np.array([0]))
 
     def test_rejects_target_out_of_range(self):
         with pytest.raises(ValueError):
             NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([5]))
+        with pytest.raises(ValueError, match="duplicate target id 1"):
+            NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([1, 0, 1]))
 
     def test_total_benefit(self):
         econ = NodeEconomics(

@@ -8,7 +8,6 @@ from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.hop import (
     HopConfig,
     compute_scores,
-    h_hop_in_neighborhood,
     hop_based_select,
     influence_probability,
 )
@@ -48,25 +47,6 @@ def disjoint_paths_instance(rng, hops):
     for p in path_probs:
         survive *= 1.0 - p
     return graph, 1.0 - survive
-
-
-class TestHopNeighborhood:
-    def test_two_hop_path(self):
-        g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        assert h_hop_in_neighborhood(g, 2, 2) == {1: 1, 0: 2}
-
-    def test_isolated_target(self):
-        g = make_graph(3, [(0, 1, 0.5)])
-        assert h_hop_in_neighborhood(g, 2, 2) == {}
-
-    def test_depth_cutoff(self):
-        g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
-        assert h_hop_in_neighborhood(g, 3, 2) == {2: 1, 1: 2}
-
-    def test_follows_reverse_arcs(self):
-        # only an outgoing arc from t: nothing can reach it
-        g = make_graph(2, [(1, 0, 0.5)])
-        assert h_hop_in_neighborhood(g, 1, 3) == {}
 
 
 class TestInfluenceProbability:
