@@ -96,6 +96,28 @@ class TestLiveEdgeSampling:
             assert est.worlds[idx] == draw_worlds(g, master_seed=13, count=1, first=idx)[0]
 
 
+class TestEarnedBenefitOnSample:
+    """Earned benefit on a single live-edge world (a one-sample estimator)."""
+
+    def test_empty_seed_set(self):
+        g = make_graph(2, [(0, 1, 1.0)])
+        econ = make_economics(2, targets=[1], benefits={1: 10.0})
+        est = BenefitEstimator(g, econ, samples=1, master_seed=0)
+        assert est.estimate(set()) == 0.0
+
+    def test_seeded_target_counts_itself(self):
+        g = make_graph(2, [(0, 1, 1.0)])
+        econ = make_economics(2, targets=[1], benefits={1: 7.0})
+        est = BenefitEstimator(g, econ, samples=1, master_seed=0)
+        assert est.estimate({1}) == 7.0
+
+    def test_one_hop_reach(self):
+        g = make_graph(2, [(0, 1, 1.0)])
+        econ = make_economics(2, targets=[1], benefits={1: 5.0})
+        est = BenefitEstimator(g, econ, samples=1, master_seed=0)
+        assert est.estimate({0}) == 5.0
+
+
 class TestExactBruteforce:
     def test_two_case_enumeration(self):
         # hand enumeration: kept (p=0.5) earns 10, dropped earns 0 -> 5.0
@@ -124,11 +146,10 @@ class TestExactBruteforce:
 
 class TestBenefitEstimator:
     def test_empty_seed_set_is_zero(self):
-        for p, samples in ((0.5, 1000), (1.0, 1)):
-            g = make_graph(2, [(0, 1, p)])
-            econ = make_economics(2, targets=[1], benefits={1: 10.0})
-            est = BenefitEstimator(g, econ, samples=samples, master_seed=3)
-            assert est.estimate(set()) == 0.0
+        g = make_graph(2, [(0, 1, 0.5)])
+        econ = make_economics(2, targets=[1], benefits={1: 10.0})
+        est = BenefitEstimator(g, econ, samples=1000, master_seed=3)
+        assert est.estimate(set()) == 0.0
 
     def test_single_edge_estimate_close_to_oracle(self):
         g = make_graph(2, [(0, 1, 0.5)])
@@ -144,11 +165,6 @@ class TestBenefitEstimator:
         for samples in (1, 7, 100):
             est = BenefitEstimator(g, econ, samples=samples, master_seed=5)
             assert est.estimate({1, 3}) == 7.0
-        # a seeded target counts itself, and a certain arc reaches its head
-        g = make_graph(2, [(0, 1, 1.0)])
-        for benefit, seeds in ((7.0, {1}), (5.0, {0})):
-            econ = make_economics(2, targets=[1], benefits={1: benefit})
-            assert BenefitEstimator(g, econ, samples=1, master_seed=0).estimate(seeds) == benefit
 
     def test_repeated_calls_identical(self):
         rng = np.random.default_rng(21)
