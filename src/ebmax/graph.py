@@ -158,7 +158,12 @@ class NodeEconomics:
     def __post_init__(self):
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=np.float64))
         object.__setattr__(self, "benefit", np.asarray(self.benefit, dtype=np.float64))
-        object.__setattr__(self, "targets", np.asarray(np.sort(self.targets), dtype=np.int64))
+        targets = np.sort(np.asarray(self.targets))
+        if targets.dtype.kind == "f":
+            bad = ~(np.isfinite(targets) & (targets == np.floor(targets)))
+            if bad.any():
+                raise ValueError(f"target id {targets[int(np.argmax(bad))]} is not an integer")
+        object.__setattr__(self, "targets", targets.astype(np.int64))
         n = len(self.cost)
         if len(self.benefit) != n:
             raise ValueError("cost and benefit vectors must have equal length")
@@ -248,9 +253,8 @@ class UnitBenefits:
 
 @dataclass(frozen=True)
 class AssignmentScheme:
-    """Bundle of probability / cost / benefit schemes plus the target fraction."""
+    """Bundle of cost and benefit schemes plus the target fraction."""
 
-    probability: object = UniformProbability()
     cost: object = RandomCosts()
     benefit: object = RandomBenefits()
     target_fraction: float = 0.2

@@ -1,5 +1,6 @@
 """Budgeted greedy seed selection: cost-ratio greedy, its guarantee-preserving
-wrapper, and the lazy-evaluation variant.
+wrapper, and the lazy-evaluation variant, plus the commit loop that every
+selector of the package fills its budget with.
 
 All three maximize estimated earned benefit per unit cost. The lazy variant
 exploits submodularity of the fixed-sample estimate: cached gains from earlier
@@ -11,7 +12,10 @@ as the eager greedy on the same estimator.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,18 +39,19 @@ class SelectionResult:
 
 
 def _check_budget(budget):
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise ValueError(f"budget must be positive and finite, got {budget}")
 
 
-def _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain):
+def _commit_loop(economics, budget, pick, stop_on_zero_gain):
     """Commit the nodes `pick` chooses until the budget or the gains run out.
 
-    `pick(seeds, chosen, remaining)` returns the next (node, ratio, gain)
-    among the affordable nodes not yet chosen, or None when there is none.
-    Each trace entry is charged the estimator queries made since the
-    previous commit; the final estimate of the seed set is charged to the
-    result only.
+    `pick(seeds, chosen, remaining)` returns the next
+    (node, ratio, gain, evaluations) among the affordable nodes not yet
+    chosen, or None when there is none; `evaluations` counts the estimator
+    queries the pick made and is charged to the node's trace entry. The
+    result carries no estimate of its own (NaN), and its evaluations are
+    those of every pick, the one that stopped the loop included.
     """
     _check_budget(budget)
     cost = economics.cost
@@ -54,15 +59,15 @@ def _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain):
     chosen = set()
     remaining = float(budget)
     trace = []
-    evals_start = estimator.evaluations
+    evaluations = 0
 
     while True:
-        iter_start = estimator.evaluations
         best = pick(seeds, chosen, remaining)
         if best is None:
             stop_reason = "no_affordable"
             break
-        node, ratio, gain = best
+        node, ratio, gain, spent_queries = best
+        evaluations += spent_queries
         if stop_on_zero_gain and ratio <= 0.0:
             stop_reason = "zero_gain"
             break
@@ -70,26 +75,55 @@ def _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain):
         chosen.add(node)
         remaining -= float(cost[node])
         trace.append(
-            TraceEntry(
-                node=node,
-                gain=gain,
-                budget_left=remaining,
-                evaluations=estimator.evaluations - iter_start,
-            )
+            TraceEntry(node=node, gain=gain, budget_left=remaining, evaluations=spent_queries)
         )
         if remaining <= 0.0:
             stop_reason = "budget_exhausted"
             break
 
-    benefit = estimator.estimate(seeds)
     return SelectionResult(
         seeds=seeds,
         spent=float(budget) - remaining,
-        estimated_benefit=benefit,
+        estimated_benefit=math.nan,
         trace=trace,
-        evaluations=estimator.evaluations - evals_start,
+        evaluations=evaluations,
         stop_reason=stop_reason,
     )
+
+
+def _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain):
+    """The commit loop over a `pick` that queries `estimator` and returns
+    (node, ratio, gain). Adds the final estimate of the seed set; the result
+    is charged every query of the selection, that estimate included."""
+    start = estimator.evaluations
+
+    def counted(seeds, chosen, remaining):
+        before = estimator.evaluations
+        best = pick(seeds, chosen, remaining)
+        return None if best is None else (*best, estimator.evaluations - before)
+
+    result = _commit_loop(economics, budget, counted, stop_on_zero_gain)
+    result.estimated_benefit = estimator.estimate(result.seeds)
+    result.evaluations = estimator.evaluations - start
+    return result
+
+
+def fill_by_rank(economics, budget, score, *, stop_on_zero_gain=False):
+    """Scan the nodes by descending `score` (ties to the lower id), committing
+    every one that still fits the budget; the score is each trace entry's
+    gain. Unaffordable nodes are passed over for good, since budgets only
+    shrink."""
+    cost = economics.cost
+    order = iter(np.lexsort((np.arange(len(score)), -score)).tolist())
+
+    def pick(seeds, chosen, remaining):
+        for v in order:
+            if cost[v] <= remaining:
+                s = float(score[v])
+                return v, s, s, 0
+        return None
+
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain)
 
 
 def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True):
@@ -114,7 +148,7 @@ def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True)
                 best = (v, ratio, gain)
         return best
 
-    return _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain)
+    return _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain)
 
 
 def best_single_node(estimator, economics, budget):
@@ -144,7 +178,6 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
     unbounded worst case of the plain ratio greedy into a
     (1 - 1/sqrt(e)) approximation.
     """
-    _check_budget(budget)
     evals_start = estimator.evaluations
     greedy = greedy_ratio_select(
         estimator, economics, budget, stop_on_zero_gain=stop_on_zero_gain
@@ -213,4 +246,4 @@ def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
             heapq.heappush(heap, refresh(seeds, v))
         return None
 
-    return _commit_loop(estimator, economics, budget, pick, stop_on_zero_gain)
+    return _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain)

@@ -149,8 +149,10 @@ def _validate(config):
     if not (0.0 < config.target_fraction <= 1.0):
         raise ConfigError("target fraction must lie in (0, 1]")
     for b in config.budgets:
-        if not b > 0:
-            raise ConfigError(f"budgets must be positive, got {b}")
+        if not (b > 0 and math.isfinite(b)):
+            raise ConfigError(f"budgets must be positive and finite, got {b}")
+    if config.master_seed < 0:
+        raise ConfigError(f"master seed (--seed) must be non-negative, got {config.master_seed}")
 
 
 def run_experiment(config):
@@ -182,7 +184,6 @@ def run_experiment(config):
 
     graph = assign_probabilities(graph, prob_scheme, seed=derive_seed(config.master_seed, _TAG_PROB))
     scheme = AssignmentScheme(
-        probability=prob_scheme,
         cost=cost_scheme,
         benefit=benefit_scheme,
         target_fraction=config.target_fraction,
@@ -193,12 +194,15 @@ def run_experiment(config):
     if not budgets:
         budgets = DEFAULT_BUDGETS_RANDOM if cost_code == "R" else DEFAULT_BUDGETS_DEGPROP
 
-    selection_estimator = BenefitEstimator(
-        graph,
-        economics,
-        samples=config.samples,
-        master_seed=derive_seed(config.master_seed, _TAG_SELECT),
-    )
+    # only the greedy selectors query worlds while they select
+    selection_estimator = None
+    if {"igaag", "igaip"} & set(config.algorithms):
+        selection_estimator = BenefitEstimator(
+            graph,
+            economics,
+            samples=config.samples,
+            master_seed=derive_seed(config.master_seed, _TAG_SELECT),
+        )
     heldout = [
         BenefitEstimator(
             graph,
@@ -231,11 +235,9 @@ def run_experiment(config):
     rows = []
     for budget in budgets:
         for name in config.algorithms:
-            before = selection_estimator.evaluations
             start = time.perf_counter()
             result = dispatch(name, budget)
             seconds = time.perf_counter() - start
-            eval_count = selection_estimator.evaluations - before
             finals = [est.estimate(result.seeds) for est in heldout]
             mean = math.fsum(finals) / len(finals)
             if len(finals) > 1:
@@ -254,7 +256,7 @@ def run_experiment(config):
                     spent=result.spent,
                     benefit_mean=mean,
                     benefit_std=std,
-                    eval_count=eval_count,
+                    eval_count=result.evaluations,
                     seconds=seconds if config.record_timing else 0.0,
                 )
             )

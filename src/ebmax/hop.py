@@ -8,12 +8,11 @@ times the hop-neighborhood size, with no Monte Carlo sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import SelectionResult, TraceEntry
+from .greedy import fill_by_rank
 
 
 @dataclass(frozen=True)
@@ -113,40 +112,13 @@ def compute_scores(graph, economics, config):
     return ScoreTable(expected_benefit=eb, score=score)
 
 
-def hop_based_select(graph, economics, config, budget, *, estimator=None, skip_zero=False):
+def hop_based_select(graph, economics, config, budget, *, skip_zero=False):
     """Fill the budget greedily down the cost-scaled score ranking.
 
     Scans the ranking once, adding every node whose cost still fits
     (unaffordable nodes are skipped, the scan continues). With ``skip_zero``
-    the scan stops at the first non-positive score instead of seeding
-    zero-score nodes. The estimator, when given, is used only to report the
-    final seed set's estimated benefit.
+    the fill stops at the first affordable node whose score is not positive
+    instead of seeding zero-score nodes.
     """
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     table = compute_scores(graph, economics, config)
-    n = graph.node_count
-    order = np.lexsort((np.arange(n), -table.score))
-    cost = economics.cost
-    seeds = []
-    trace = []
-    remaining = float(budget)
-    for v in order.tolist():
-        if skip_zero and table.score[v] <= 0.0:
-            break
-        c = float(cost[v])
-        if c <= remaining:
-            seeds.append(v)
-            remaining -= c
-            trace.append(
-                TraceEntry(node=v, gain=float(table.score[v]), budget_left=remaining, evaluations=0)
-            )
-    benefit = estimator.estimate(seeds) if estimator is not None else math.nan
-    return SelectionResult(
-        seeds=seeds,
-        spent=float(budget) - remaining,
-        estimated_benefit=benefit,
-        trace=trace,
-        evaluations=0,
-        stop_reason="scan_complete",
-    )
+    return fill_by_rank(economics, budget, table.score, stop_on_zero_gain=skip_zero)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ebmax.baselines import (
     single_discount_select,
 )
 from ebmax.graph import SocialGraph
+from ebmax.hop import HopConfig, hop_based_select
 
 from helpers import make_economics, make_graph, random_instance
 
@@ -42,8 +45,9 @@ class TestMaxDegree:
     def test_bad_budget(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[0])
-        with pytest.raises(ValueError):
-            max_degree_select(g, econ, -1.0)
+        for bad in (-1.0, math.inf, 1e400, math.nan):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                max_degree_select(g, econ, bad)
 
 
 class TestDegreeDiscount:
@@ -80,8 +84,9 @@ class TestDegreeDiscount:
     def test_bad_budget(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[0])
-        with pytest.raises(ValueError):
-            degree_discount_select(g, econ, 0.0, p=0.1)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                degree_discount_select(g, econ, bad, p=0.1)
 
 
 class TestSingleDiscount:
@@ -108,8 +113,9 @@ class TestSingleDiscount:
     def test_bad_budget(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[0])
-        with pytest.raises(ValueError):
-            single_discount_select(g, econ, 0)
+        for bad in (0, math.inf):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                single_discount_select(g, econ, bad)
 
 
 class TestSharedInvariants:
@@ -154,14 +160,14 @@ class TestSharedInvariants:
         original = mod._discounted_select
         snapshots = []
 
-        def spying(graph, economics, budget, discount, estimator):
+        def spying(graph, economics, budget, discount):
             deg = mod._base_degree(graph).astype(float)
 
             def checked(d, t, p):
                 assert t <= d or d == 0
                 return discount(d, t, p)
 
-            result = original(graph, economics, budget, checked, estimator)
+            result = original(graph, economics, budget, checked)
             snapshots.append(result)
             return result
 
@@ -175,3 +181,156 @@ class TestSharedInvariants:
         for res in snapshots:
             gains = [t.gain for t in res.trace]
             assert gains and gains[0] == max(gains)
+
+
+def pinned_instances():
+    """Two fixed instances for the fill pins: (graph, economics, budget)."""
+    edges = [(0, 1, 0.3), (0, 2, 0.3), (0, 3, 0.2), (1, 2, 0.5),
+             (3, 4, 0.4), (4, 5, 0.3), (5, 6, 0.6), (2, 5, 0.1)]
+    tiny = (
+        SocialGraph(7, [a for u, v, p in edges for a in ((u, v, p), (v, u, p))], directed=False),
+        make_economics(
+            7,
+            targets=[2, 4, 6],
+            benefits={2: 3.0, 4: 5.0, 6: 2.0},
+            costs={0: 2.0, 1: 1.0, 2: 3.0, 3: 1.0, 4: 2.0, 5: 1.0, 6: 4.0},
+        ),
+        6.0,
+    )
+    # directed, float costs; four nodes score zero under hbh, and the two
+    # lowest-id ones no longer fit when the scan reaches them
+    g, econ = random_instance(np.random.default_rng(7), max_nodes=10, max_arcs=14)
+    return {"tiny": tiny, "random": (g, econ, 13.0)}
+
+
+def run_heuristics(graph, econ, budget):
+    hop = HopConfig(2, 0.1)
+    return {
+        "maxdeg": max_degree_select(graph, econ, budget),
+        "degdis_p": degree_discount_select(graph, econ, budget, p=0.1),
+        "degdis": degree_discount_select(graph, econ, budget),
+        "sindis": single_discount_select(graph, econ, budget),
+        "hbh": hop_based_select(graph, econ, hop, budget),
+        "hbh_skip": hop_based_select(graph, econ, hop, budget, skip_zero=True),
+    }
+
+
+# (spent, [(node, gain, budget_left), ...]) per instance and selector,
+# recorded before the heuristics shared the greedy commit loop
+PINNED = {
+    "tiny": {
+        "maxdeg": (6.0, [
+            (0, 3.0, 4.0),
+            (2, 3.0, 1.0),
+            (5, 3.0, 0.0),
+        ]),
+        "degdis_p": (5.0, [
+            (0, 3.0, 4.0),
+            (5, 3.0, 3.0),
+            (1, -0.10000000000000009, 2.0),
+            (3, -0.10000000000000009, 1.0),
+        ]),
+        "degdis": (5.0, [
+            (0, 3.0, 4.0),
+            (5, 3.0, 3.0),
+            (3, -0.20000000000000018, 2.0),
+            (1, -0.2999999999999998, 1.0),
+        ]),
+        "sindis": (5.0, [
+            (0, 3.0, 4.0),
+            (5, 3.0, 3.0),
+            (1, 1.0, 2.0),
+            (3, 1.0, 1.0),
+        ]),
+        "hbh": (5.0, [
+            (5, 2.7, 5.0),
+            (4, 2.68, 3.0),
+            (3, 2.0, 2.0),
+            (1, 1.6349999999999998, 1.0),
+        ]),
+        "hbh_skip": (5.0, [
+            (5, 2.7, 5.0),
+            (4, 2.68, 3.0),
+            (3, 2.0, 2.0),
+            (1, 1.6349999999999998, 1.0),
+        ]),
+    },
+    "random": {
+        "maxdeg": (12.06877911224124, [
+            (2, 6.0, 10.264069540729231),
+            (5, 2.0, 8.898259892795334),
+            (7, 2.0, 7.495529634853856),
+            (8, 2.0, 5.332616237143926),
+            (9, 2.0, 4.815812147909584),
+            (0, 1.0, 1.4842940027000373),
+            (4, 0.0, 0.9312208877587609),
+        ]),
+        "degdis_p": (12.068779112241241, [
+            (2, 6.0, 10.264069540729231),
+            (5, 2.0, 8.898259892795334),
+            (4, 0.0, 8.345186777854057),
+            (7, -0.10000000000000009, 6.942456519912579),
+            (8, -0.10000000000000009, 4.779543122202648),
+            (0, -1.0, 1.4480249769931013),
+            (9, -2.0, 0.9312208877587596),
+        ]),
+        "degdis": (12.27986600342275, [
+            (2, 6.0, 10.264069540729231),
+            (5, 2.0, 8.898259892795334),
+            (4, 0.0, 8.345186777854057),
+            (8, -0.27938262888871224, 6.182273380144126),
+            (9, -0.4505686752943818, 5.665469290909785),
+            (0, -1.0, 2.333951145700238),
+            (3, -1.0, 0.7201339965772493),
+        ]),
+        "sindis": (12.61271905718861, [
+            (2, 6.0, 10.264069540729231),
+            (5, 2.0, 8.898259892795334),
+            (7, 1.0, 7.495529634853856),
+            (8, 1.0, 5.332616237143926),
+            (0, 0.0, 2.0010980919343786),
+            (3, 0.0, 0.3872809428113899),
+        ]),
+        "hbh": (12.59941301218906, [
+            (9, 17.907191818947215, 12.483195910765659),
+            (7, 10.346982994654404, 11.08046565282418),
+            (6, 2.4029445873506607, 7.4663211088559045),
+            (4, 2.3886941405615745, 6.913247993914628),
+            (2, 2.034141747061073, 4.1773175346438585),
+            (8, 1.5694570046062237, 2.014404136933928),
+            (3, 0.0, 0.4005869878109394),
+        ]),
+        "hbh_skip": (10.985595863066072, [
+            (9, 17.907191818947215, 12.483195910765659),
+            (7, 10.346982994654404, 11.08046565282418),
+            (6, 2.4029445873506607, 7.4663211088559045),
+            (4, 2.3886941405615745, 6.913247993914628),
+            (2, 2.034141747061073, 4.1773175346438585),
+            (8, 1.5694570046062237, 2.014404136933928),
+        ]),
+    },
+}
+
+STOP_REASONS = {
+    "tiny": dict.fromkeys(("degdis_p", "degdis", "sindis", "hbh", "hbh_skip"), "no_affordable")
+    | {"maxdeg": "budget_exhausted"},
+    "random": dict.fromkeys(("maxdeg", "degdis_p", "degdis", "sindis", "hbh"), "no_affordable")
+    | {"hbh_skip": "zero_gain"},
+}
+
+
+class TestPinnedFills:
+    def test_seeds_spend_and_trace_are_pinned(self):
+        for inst, (graph, econ, budget) in pinned_instances().items():
+            for name, res in run_heuristics(graph, econ, budget).items():
+                spent, trace = PINNED[inst][name]
+                got = [(t.node, t.gain, t.budget_left) for t in res.trace]
+                assert got == trace, (inst, name)
+                assert res.seeds == [node for node, _, _ in trace], (inst, name)
+                assert res.spent == spent, (inst, name)
+                assert res.evaluations == 0, (inst, name)
+
+    def test_stop_reasons(self):
+        for inst, (graph, econ, budget) in pinned_instances().items():
+            for name, res in run_heuristics(graph, econ, budget).items():
+                assert res.stop_reason == STOP_REASONS[inst][name], (inst, name)

@@ -259,6 +259,10 @@ class TestNodeEconomicsValidation:
             NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([5]))
         with pytest.raises(ValueError, match="duplicate target id 1"):
             NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match="target id 1.7 is not an integer"):
+            NodeEconomics(
+                cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1.7])
+            )
 
     def test_total_benefit(self):
         econ = NodeEconomics(

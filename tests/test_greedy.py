@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,9 @@ class TestRatioGreedy:
             greedy_ratio_select(est, econ, 0.0)
         with pytest.raises(ValueError):
             greedy_ratio_select(est, econ, -3)
+        for bad in (math.inf, 1e400, math.nan):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                greedy_ratio_select(est, econ, bad)
 
     def test_zero_gain_early_stop_versus_literal_loop(self):
         # no targets at all: every gain is zero
@@ -201,6 +206,9 @@ class TestLazyGreedy:
         est = oracle_for(g, econ)
         with pytest.raises(ValueError):
             lazy_greedy_select(est, econ, 0)
+        for select in (lazy_greedy_select, modified_greedy_select):
+            with pytest.raises(ValueError, match="got inf"):
+                select(est, econ, math.inf)
 
     def test_strict_mode_matches_eager(self):
         rng = np.random.default_rng(82)

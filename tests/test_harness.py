@@ -128,8 +128,7 @@ class TestRunExperiment:
 
         graph = load_edge_list(small_graph_file, directed=False)
         graph = assign_probabilities(graph, UniformProbability(0.2), seed=derive_seed(5, 1))
-        econ = assign_economics(graph, AssignmentScheme(probability=UniformProbability(0.2)),
-                                seed=derive_seed(5, 2))
+        econ = assign_economics(graph, AssignmentScheme(), seed=derive_seed(5, 2))
         from ebmax.baselines import max_degree_select
 
         res = max_degree_select(graph, econ, 40.0)
@@ -141,6 +140,46 @@ class TestRunExperiment:
         assert rows[0].benefit_mean == mean
         selection_est = BenefitEstimator(graph, econ, samples=60, master_seed=derive_seed(5, 3))
         assert selection_est.estimate(res.seeds) != mean  # distinct sample sets
+
+    def test_selection_worlds_only_for_greedy(self, small_graph_file, tmp_path, monkeypatch):
+        # the held-out estimators are always built; the selection-time one
+        # only when a greedy selector will query it. eval_count is each
+        # result's own count of its queries.
+        from ebmax import baselines, greedy, harness, hop
+
+        built = []
+
+        class Counting(harness.BenefitEstimator):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["master_seed"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BenefitEstimator", Counting)
+        results = []
+        for module, name in (
+            (greedy, "lazy_greedy_select"),
+            (hop, "hop_based_select"),
+            (baselines, "max_degree_select"),
+        ):
+            def recording(*args, _select=getattr(module, name), **kwargs):
+                results.append(_select(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(module, name, recording)
+
+        reps = 3
+        out = str(tmp_path / "r.csv")
+        for algorithms, estimators in ((("maxdeg", "hbh"), reps), (("igaip", "maxdeg"), reps + 1)):
+            built.clear()
+            results.clear()
+            rows = run_experiment(
+                quick_config(small_graph_file, out, algorithms=algorithms, repetitions=reps,
+                             budgets=(20.0, 40.0))
+            )
+            assert len(built) == estimators, algorithms
+            assert [r.eval_count for r in rows] == [res.evaluations for res in results]
+            for row in rows:
+                assert (row.eval_count > 0) == (row.algorithm == "igaip"), row
 
     def test_fairness_same_seeds_same_numbers(self, tmp_path):
         # on an edgeless graph maxdeg and sindis pick identical seed sets, so
@@ -197,8 +236,11 @@ class TestRunExperiment:
 
     def test_validation_errors(self, small_graph_file, tmp_path):
         out = str(tmp_path / "r.csv")
-        with pytest.raises(ConfigError):
-            run_experiment(quick_config(small_graph_file, out, budgets=(-5.0,)))
+        for bad in (-5.0, math.inf, 1e400, math.nan):
+            with pytest.raises(ConfigError, match=f"got {bad}"):
+                run_experiment(quick_config(small_graph_file, out, budgets=(40.0, bad)))
+        with pytest.raises(ConfigError, match="--seed"):
+            run_experiment(quick_config(small_graph_file, out, master_seed=-1))
         with pytest.raises(ConfigError):
             run_experiment(quick_config(small_graph_file, out, samples=0))
         with pytest.raises(ConfigError):
@@ -279,6 +321,21 @@ class TestCli:
             "--hop", "0", "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 2
+
+    def test_bad_budget_and_seed_exit_code(self, tmp_path, capsys):
+        graph = str(tmp_path / "g.txt")
+        cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
+                  "--seed", "0", "--out", graph])
+        base = ["run", "--graph", graph, "--algos", "maxdeg", "--samples", "5", "--reps", "1",
+                "--out", str(tmp_path / "r.csv")]
+        for extra, named in (
+            (["--budgets", "inf"], "got inf"),
+            (["--budgets", "5,1e400"], "got inf"),
+            (["--budgets", "5", "--seed", "-1"], "--seed"),
+        ):
+            assert cli_main(base + extra) == 2, extra
+            assert named in capsys.readouterr().err, extra
+        assert not os.path.exists(tmp_path / "r.csv")
 
     def test_runtime_failure_exit_code(self, tmp_path):
         graph = str(tmp_path / "g.txt")
