@@ -6,16 +6,30 @@ is exactly monotone and submodular, which the lazy selection in
 :mod:`ebmax.greedy` relies on. Per-world benefits are reduced with
 ``math.fsum`` (exactly rounded, order-independent), so results do not depend
 on reduction order.
+
+Marginal gains are answered from a target-reach index: for every world, the
+bitmask of the targets each node reaches, built by one pass over the world's
+strongly connected components (the condensation that Ohsaka et al. use in
+*Pruned Monte-Carlo Simulations*, AAAI 2014). The first ``marginal_gain``
+call builds it; an estimator that is only asked for estimates, such as the
+harness's held-out ones, never does, and searches each world from the seeds
+instead. Both paths reduce the same per-world benefits with ``fsum``, so every
+value is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
+from .graph import as_node_id
+
 _EMPTY = ()
+# set-bit offsets of each byte value, for reading wide target masks a byte at a time
+_BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
 
 # Philox draws come in 4-word blocks; per-sample offsets must stay aligned.
 def _sample_stride(arc_count):
@@ -35,10 +49,15 @@ def _sample_rows(master_seed, first, count, arc_count):
 
 
 def _canonical_seeds(seeds, node_count):
-    out = tuple(sorted({int(s) for s in seeds}))
-    for s in out:
-        if not (0 <= s < node_count):
-            raise ValueError(f"seed {s} outside node range [0, {node_count})")
+    """The seed set as a sorted tuple of distinct int node ids."""
+    seeds = tuple(seeds)
+    if set(map(type, seeds)) <= {int}:  # the common case, checked without a call per seed
+        out = tuple(sorted(set(seeds)))
+    else:
+        out = tuple(sorted({as_node_id(s) for s in seeds}))
+    if out and (out[0] < 0 or out[-1] >= node_count):
+        s = out[0] if out[0] < 0 else out[-1]
+        raise ValueError(f"seed {s} outside node range [0, {node_count})")
     return out
 
 
@@ -57,20 +76,82 @@ def _reach(adjacency, seeds):
     return visited
 
 
-def _reach_pruned(adjacency, start, blocked):
-    """Nodes newly reachable from `start` when everything in `blocked` is already covered."""
-    fresh = {start}
-    stack = [start]
-    pop = stack.pop
-    push = stack.append
+def _union(a, b):
+    """a | b, returned as a or b itself when it equals one of them, so that
+    equal masks stay one shared int."""
+    if not b or b is a:
+        return a
+    if not a:
+        return b
+    joined = a | b
+    return a if joined == a else b if joined == b else joined
+
+
+def _target_masks(adjacency, bits):
+    """Bitmask of the targets each node reaches in one world, indexed by node.
+
+    `bits[v]` is node v's own target bit (0 for a non-target). One iterative
+    Tarjan pass: strongly connected components close sinks first, so when a
+    component closes, the masks its arcs lead out to are final, and its mask
+    is their OR with its members' bits. The members of a component share one
+    int, as does a node whose mask equals one it reaches.
+    """
+    masks = list(bits)
+    closed = len(bits) + 1  # DFS number given to a node once its component closes
+    number = [0] * len(bits)  # DFS number from 1; 0 = not visited yet
+    low = [0] * len(bits)
+    open_nodes = []
+    counter = 0
     get = adjacency.get
-    while stack:
-        for v in get(pop(), _EMPTY):
-            if v in blocked or v in fresh:
-                continue
-            fresh.add(v)
-            push(v)
-    return fresh
+    for root in adjacency:
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        open_nodes.append(root)
+        path = [(root, iter(adjacency[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    open_nodes.append(w)
+                    path.append((w, iter(get(w, _EMPTY))))
+                    break
+                # w's component is closed (final mask) or is v's own (partial mask)
+                if number[w] < low[v]:
+                    low[v] = number[w]
+                masks[v] = _union(masks[v], masks[w])
+            else:
+                path.pop()
+                if low[v] == number[v]:
+                    mask = masks[v]
+                    while True:
+                        w = open_nodes.pop()
+                        masks[w] = mask
+                        number[w] = low[w] = closed
+                        if w == v:
+                            break
+                if path:
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    masks[u] = _union(masks[u], masks[v])
+    return masks
+
+
+def _bit_values(bits, values):
+    """values[j] for every set bit j of the non-negative int `bits`."""
+    if bits.bit_count() < 16:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(values[low.bit_length() - 1])
+            bits ^= low
+        return out
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return [values[8 * i + j] for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 def _benefit_of(covered, target_set, target_benefit):
@@ -179,8 +260,16 @@ class BenefitEstimator:
     two estimates. `evaluations` counts estimate/marginal-gain queries; the
     selection algorithms report it to compare work done.
 
+    The first `marginal_gain` call builds the target-reach index (for each
+    node, its target mask in every world; bit j stands for the j-th target
+    in ascending id order) and releases the adjacency dicts in `worlds`,
+    which the index then stands in for. Until then, queries search the
+    worlds from the seeds.
+
     The coverage of the last seed set queried is kept: the greedy selectors
-    ask for the gains of many nodes against one seed set in a row.
+    ask for the gains of many nodes against one seed set in a row, and then
+    about that set plus the node they committed, whose coverage is extended
+    in place.
     """
 
     def __init__(self, graph, economics, samples=10000, master_seed=0):
@@ -196,20 +285,67 @@ class BenefitEstimator:
         self.evaluations = 0
         self._target_set = economics.target_set
         self._target_benefit = economics.target_benefit
-        self._last = None
+        self._target_values = [economics.target_benefit[t] for t in economics.targets.tolist()]
+        self._rows = None  # node -> per-world target masks, once built
+        self._last = None  # (key, uncovered masks, benefit lists, values, mean)
         self.worlds = draw_worlds(graph, self.master_seed, self.samples)
 
+    def _index(self):
+        """The target-reach index, built from the worlds on first use."""
+        if self._rows is None:
+            bits = [0] * self.graph.node_count
+            for j, t in enumerate(self.economics.targets.tolist()):
+                bits[t] = 1 << j
+            per_world = [_target_masks(adjacency, bits) for adjacency in self.worlds]
+            self._rows = list(zip(*per_world))
+            self.worlds = None
+        return self._rows
+
     def _coverage(self, key):
-        """(key, per-world covered sets, covered-target benefit lists, values, mean)."""
+        """(key, uncovered target masks, covered-target benefit lists, values, mean).
+
+        Read from the index once it is built, searched in the worlds before
+        (masks and lists None then). The masks are stored complemented
+        (~cover), so the targets a node newly reaches are its mask & uncovered.
+        """
         last = self._last
-        if last is not None and last[0] == key:
+        rows = self._rows
+        if last is not None and last[0] == key and (rows is None or last[1] is not None):
             return last
-        tset = self._target_set
-        tb = self._target_benefit
-        covered = [_reach(adjacency, key) for adjacency in self.worlds]
-        bvals = [[tb[t] for t in cov & tset] for cov in covered]
-        vals = [math.fsum(hit) for hit in bvals]
-        self._last = (key, covered, bvals, vals, math.fsum(vals) / self.samples)
+        if rows is None:
+            tset = self._target_set
+            tb = self._target_benefit
+            vals = [math.fsum([tb[t] for t in _reach(adjacency, key) & tset]) for adjacency in self.worlds]
+            self._last = (key, None, None, vals, math.fsum(vals) / self.samples)
+            return self._last
+        values = self._target_values
+        worlds = range(self.samples)
+        if (
+            last is not None
+            and last[1] is not None
+            and len(key) == len(last[0]) + 1
+            and set(key).issuperset(last[0])
+        ):
+            # the last seed set plus one node: extend its coverage in place
+            _, uncovered, bvals, vals, _ = last
+            (node,) = set(key).difference(last[0])
+            row = rows[node]
+            for p in compress(worlds, row):
+                gained = row[p] & uncovered[p]
+                if gained:
+                    uncovered[p] &= ~gained
+                    bvals[p] += _bit_values(gained, values)
+                    vals[p] = math.fsum(bvals[p])
+        else:
+            cover = [0] * self.samples
+            for s in key:
+                row = rows[s]
+                for p in compress(worlds, row):
+                    cover[p] |= row[p]
+            uncovered = [~c for c in cover]
+            bvals = [_bit_values(c, values) for c in cover]
+            vals = [math.fsum(b) for b in bvals]
+        self._last = (key, uncovered, bvals, vals, math.fsum(vals) / self.samples)
         return self._last
 
     def estimate(self, seeds):
@@ -224,30 +360,35 @@ class BenefitEstimator:
         return np.array(self._coverage(key)[3], dtype=np.float64)
 
     def marginal_gain(self, seeds, u):
-        """estimate(seeds + u) - estimate(seeds), reusing the cached coverage.
+        """estimate(seeds + u) - estimate(seeds), read from the index.
 
-        Bit-identical to computing the two estimates separately: per-world
-        covered sets are extended exactly, and fsum makes each per-world
-        value independent of how the covered set was accumulated.
+        Bit-identical to computing the two estimates separately: in each world
+        where u reaches targets the seeds miss, the covered targets' benefits
+        are extended by exactly those, and fsum makes the world's value
+        independent of how its covered set was accumulated. Worlds where u
+        reaches no target cost nothing.
         """
         key = _canonical_seeds(seeds, self.graph.node_count)
         u = self.graph.check_node(u)
         if u in key:
             raise ValueError(f"node {u} is already in the seed set")
         self.evaluations += 1
-        _, covered, bvals, vals, total = self._coverage(key)
-        tset = self._target_set
-        tb = self._target_benefit
-        new_vals = list(vals)
-        worlds = self.worlds
-        for p in range(self.samples):
-            cov = covered[p]
-            if u in cov:
-                continue
-            fresh = _reach_pruned(worlds[p], u, cov)
-            gained = [tb[t] for t in fresh & tset]
+        row = self._index()[u]
+        _, uncovered, bvals, vals, total = self._coverage(key)
+        values = self._target_values
+        new_vals = None
+        gained_values = {}  # u gains the same targets in many worlds
+        for p in compress(range(self.samples), row):
+            gained = row[p] & uncovered[p]
             if gained:
-                new_vals[p] = math.fsum(bvals[p] + gained)
+                if new_vals is None:
+                    new_vals = list(vals)
+                more = gained_values.get(gained)
+                if more is None:
+                    more = gained_values[gained] = _bit_values(gained, values)
+                new_vals[p] = math.fsum(bvals[p] + more)
+        if new_vals is None:
+            return 0.0
         return math.fsum(new_vals) / self.samples - total
 
 

@@ -12,6 +12,14 @@ import numpy as np
 MIN_COST = 1e-6
 
 
+def as_node_id(value):
+    """`value` as a Python int node id. Python and numpy integers pass; bools,
+    floats (even integral ones) and anything else are rejected by value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"node id {value!r} is not an integer")
+
+
 class GraphParseError(ValueError):
     """Malformed edge-list input. Carries the 1-based line number when known."""
 
@@ -129,9 +137,10 @@ class SocialGraph:
             raise ValueError("graph has arcs without assigned probabilities; run assign_probabilities first")
 
     def check_node(self, u):
+        u = as_node_id(u)
         if not (0 <= u < self.node_count):
             raise ValueError(f"node id {u} outside [0, {self.node_count})")
-        return int(u)
+        return u
 
     def with_probabilities(self, prob):
         """Copy of this graph with the given per-arc probabilities."""
@@ -262,6 +271,10 @@ class AssignmentScheme:
     def __post_init__(self):
         if not (0.0 < self.target_fraction <= 1.0):
             raise ValueError("target fraction must lie in (0, 1]")
+
+    def target_count(self, node_count):
+        """How many of `node_count` nodes become targets: floor(fraction * n)."""
+        return int(math.floor(self.target_fraction * node_count))
 
 
 # --- loading and serialization ----------------------------------------------
@@ -394,7 +407,7 @@ def assign_economics(graph, scheme, seed=0):
     n = graph.node_count
     rng = np.random.default_rng(seed)
 
-    k = int(math.floor(scheme.target_fraction * n))
+    k = scheme.target_count(n)
     targets = np.sort(rng.choice(n, size=k, replace=False)) if k else np.empty(0, dtype=np.int64)
 
     if isinstance(scheme.cost, RandomCosts):

@@ -188,6 +188,11 @@ def run_experiment(config):
         benefit=benefit_scheme,
         target_fraction=config.target_fraction,
     )
+    if scheme.target_count(graph.node_count) == 0:
+        raise ConfigError(
+            f"--target-frac {config.target_fraction} of {graph.node_count} nodes selects no "
+            "targets, so every benefit would be 0"
+        )
     economics = assign_economics(graph, scheme, seed=derive_seed(config.master_seed, _TAG_ECON))
 
     budgets = tuple(config.budgets)
@@ -327,6 +332,8 @@ def generate_synthetic(kind, n, param, seed, path):
     if kind == "random":
         edges = _random_edges(n, float(param), rng)
     elif kind == "preferential":
+        if not float(param).is_integer():
+            raise ValueError(f"preferential attachment needs a whole number of arcs per node, got {param}")
         edges = _preferential_edges(n, int(param), rng)
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -42,6 +42,10 @@ class TestSimulateCascade:
         g = make_graph(2, [(0, 1, 0.5)])
         with pytest.raises(ValueError):
             simulate_cascade(g, {5}, np.random.default_rng(0))
+        for bad in (0.5, True, "1"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                simulate_cascade(g, {bad}, np.random.default_rng(0))
+        assert simulate_cascade(g, {np.int64(0)}, np.random.default_rng(0)).influenced >= {0}
 
     def test_requires_probabilities(self):
         g = make_graph(2, [(0, 1, 0.0)])
@@ -181,6 +185,20 @@ class TestBenefitEstimator:
         unassigned = make_graph(2, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
             BenefitEstimator(unassigned, econ, samples=10)
+        # node ids must be integers, numpy ones included
+        g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        econ = make_economics(3, targets=[1, 2], benefits={1: 2.0, 2: 3.0})
+        for est in (BenefitEstimator(g, econ, samples=20, master_seed=1), ExactBenefitOracle(g, econ)):
+            for bad, named in ((1.5, "1.5"), (1.0, "1.0"), (True, "True"), ("1", "'1'")):
+                with pytest.raises(ValueError, match=f"node id {named} is not an integer"):
+                    est.marginal_gain((), bad)
+                with pytest.raises(ValueError, match=f"node id {named} is not an integer"):
+                    est.estimate([bad])
+                with pytest.raises(ValueError, match=f"node id {named} is not an integer"):
+                    est.marginal_gain([0, bad], 2)
+            # numpy integers are node ids like any other
+            assert est.estimate([np.int64(1)]) == est.estimate([1])
+            assert est.marginal_gain((np.int32(0),), np.uint8(2)) == est.marginal_gain((0,), 2)
 
 
 class TestMarginalGain:

@@ -182,13 +182,17 @@ class TestRunExperiment:
                 assert (row.eval_count > 0) == (row.algorithm == "igaip"), row
 
     def test_fairness_same_seeds_same_numbers(self, tmp_path):
-        # on an edgeless graph maxdeg and sindis pick identical seed sets, so
+        # on a one-edge graph maxdeg and sindis pick identical seed sets, so
         # their held-out numbers must agree exactly
         path = tmp_path / "edgeless.txt"
         path.write_text("0 1\n")  # loader needs an arc; nodes 0 and 1 only
         out = str(tmp_path / "r.csv")
-        config = quick_config(str(path), out, algorithms=("maxdeg", "sindis"), budgets=(100.0,))
+        # half of the two nodes is one target (a sweep without targets is refused)
+        config = quick_config(
+            str(path), out, algorithms=("maxdeg", "sindis"), budgets=(100.0,), target_fraction=0.5
+        )
         rows = run_experiment(config)
+        assert rows[0].benefit_mean > 0.0
         assert rows[0].benefit_mean == rows[1].benefit_mean
         assert rows[0].benefit_std == rows[1].benefit_std
 
@@ -336,6 +340,42 @@ class TestCli:
             assert cli_main(base + extra) == 2, extra
             assert named in capsys.readouterr().err, extra
         assert not os.path.exists(tmp_path / "r.csv")
+
+    def test_no_targets_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "three.txt"
+        graph.write_text("0 1\n1 2\n")  # floor(0.2 * 3) = 0 targets
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", str(graph), "--algos", "maxdeg", "--budgets", "5",
+                "--samples", "5", "--reps", "1", "--out", str(out)]
+        for econ in ("random", "degprop"):
+            assert cli_main(base + ["--econ", econ]) == 2, econ
+            err = capsys.readouterr().err
+            assert "--target-frac 0.2 of 3 nodes" in err, err
+        assert not out.exists()
+        assert cli_main(base + ["--target-frac", "0.34"]) == 0
+
+    def test_no_nodes_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "empty.txt"
+        graph.write_text("# no edges\n")
+        out = tmp_path / "r.csv"
+        for econ in ("random", "degprop"):
+            code = cli_main(["run", "--graph", str(graph), "--econ", econ, "--algos", "maxdeg",
+                             "--budgets", "5", "--samples", "5", "--reps", "1", "--out", str(out)])
+            assert code == 2, econ
+            err = capsys.readouterr().err
+            assert "--target-frac 0.2 of 0 nodes" in err, err
+        assert not out.exists()
+
+    def test_gen_fractional_preferential_param_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        for param in ("2.7", "inf", "nan"):
+            code = cli_main(["gen", "--kind", "preferential", "--nodes", "20", "--param", param,
+                             "--out", str(graph)])
+            assert code == 2, param
+            assert f"got {param}" in capsys.readouterr().err
+        assert not graph.exists()
+        assert cli_main(["gen", "--kind", "preferential", "--nodes", "20", "--param", "3.0",
+                         "--out", str(graph)]) == 0
 
     def test_runtime_failure_exit_code(self, tmp_path):
         graph = str(tmp_path / "g.txt")
