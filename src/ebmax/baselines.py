@@ -20,19 +20,6 @@ def _base_degree(graph):
     return deg if graph.directed else deg // 2
 
 
-def _neighbor_probs(graph):
-    """Per-node dict neighbor -> arc probability, preferring the outgoing arc."""
-    nbr = [dict() for _ in range(graph.node_count)]
-    src = graph.src.tolist()
-    dst = graph.dst.tolist()
-    prob = graph.prob.tolist()
-    for a in range(graph.arc_count):
-        nbr[src[a]][dst[a]] = prob[a]
-    for a in range(graph.arc_count):
-        nbr[dst[a]].setdefault(src[a], prob[a])
-    return nbr
-
-
 def max_degree_select(graph, economics, budget):
     """Scan nodes by descending degree (ties to lower id), adding every one
     that still fits the budget."""
@@ -44,6 +31,10 @@ def _discounted_select(graph, economics, budget, discount):
     effective degree, after rescoring the last seed's non-seed neighbors via
     `discount`.
 
+    A seed's neighbors are looked up when the next pick follows its commit:
+    each neighbor carries the probability of the arc from the seed (the last
+    of parallel arcs), or, when there is none, of the first arc into the seed.
+
     `discount(original_degree, seeded_neighbors, arc_prob)` returns the
     amount subtracted from the original degree. Effective degrees only ever
     decrease, so a stale heap entry is always an upper bound and lazy
@@ -54,7 +45,7 @@ def _discounted_select(graph, economics, budget, discount):
     deg = _base_degree(graph).astype(np.float64)
     effective = deg.copy()
     seeded_neighbors = np.zeros(n, dtype=np.int64)
-    neighbor_prob = _neighbor_probs(graph)
+    prob = graph.prob
     cost = economics.cost
 
     heap = [(-effective[v], v) for v in range(n)]
@@ -62,7 +53,11 @@ def _discounted_select(graph, economics, budget, discount):
 
     def pick(seeds, chosen, remaining):
         if seeds:
-            for w, p in neighbor_prob[seeds[-1]].items():
+            last = seeds[-1]
+            neighbor_prob = dict(zip(graph.out_nbrs[last], prob[graph.out_arcs[last]].tolist()))
+            for w, p in zip(graph.in_nbrs[last], prob[graph.in_arcs[last]].tolist()):
+                neighbor_prob.setdefault(w, p)
+            for w, p in neighbor_prob.items():
                 if w in chosen:
                     continue
                 seeded_neighbors[w] += 1
@@ -86,6 +81,8 @@ def degree_discount_select(graph, economics, budget, p=None):
     `p` is the uniform propagation probability; when None the probability of
     the triggering arc is used (its reverse arc when only that exists).
     """
+    if p is not None and not (0.0 <= p <= 1.0):  # NaN fails both
+        raise ValueError(f"propagation probability p must lie in [0, 1], got {p}")
 
     def discount(d, t, arc_p):
         prop = arc_p if p is None else p

@@ -217,6 +217,9 @@ def run_experiment(config):
         )
         for r in range(config.repetitions)
     ]
+    # the hop score table does not depend on the budget: the first hbh row
+    # scores, the later budgets reuse its table
+    hop_cache = {}
 
     def dispatch(name, budget):
         if name == "igaag":
@@ -225,7 +228,12 @@ def run_experiment(config):
             return greedy.lazy_greedy_select(selection_estimator, economics, budget)
         if name == "hbh":
             return hop.hop_based_select(
-                graph, economics, hop_config, budget, skip_zero=config.skip_zero_scores
+                graph,
+                economics,
+                hop_config,
+                budget,
+                skip_zero=config.skip_zero_scores,
+                cache=hop_cache,
             )
         if name == "maxdeg":
             return baselines.max_degree_select(graph, economics, budget)

@@ -4,15 +4,27 @@ Scores every node by the benefit it can be expected to earn from targets
 within a fixed hop radius, divides by selection cost, and fills the budget
 by scanning the ranked list. Runs in time proportional to the target count
 times the hop-neighborhood size, with no Monte Carlo sampling.
+
+The depth-1 walk of a node (its in-neighbors' direct influence) does not
+depend on the target, so one scoring pass computes it once per node and
+shares it across all targets; deeper levels are kept per target. The table
+does not depend on the budget either: a sweep hands `hop_based_select` one
+`cache` dict, and the first call's table serves every later budget.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .greedy import fill_by_rank
+
+
+def _check_hops(hops):
+    if isinstance(hops, bool) or not isinstance(hops, numbers.Integral) or hops < 1:
+        raise ValueError(f"hop count must be an integer of at least 1, got {hops!r}")
 
 
 @dataclass(frozen=True)
@@ -21,8 +33,7 @@ class HopConfig:
     cutoff: float = 0.1  # minimum influence probability for a contribution to count
 
     def __post_init__(self):
-        if self.hops < 1:
-            raise ValueError("hop count must be at least 1")
+        _check_hops(self.hops)
         if not (0.0 <= self.cutoff <= 1.0):
             raise ValueError("cutoff probability must lie in [0, 1]")
 
@@ -35,7 +46,7 @@ class ScoreTable:
     score: np.ndarray
 
 
-def _walk_influence(graph, target, hops):
+def _walk_influence(graph, target, hops, prob, first):
     """Influence probability onto `target` for every node within `hops` reverse arcs.
 
     Combines walks independently: the probability that a source reaches a
@@ -45,33 +56,38 @@ def _walk_influence(graph, target, hops):
     itself as the certain base case. Walks sharing arcs are treated as
     independent, so on graphs with overlapping paths this overestimates;
     it is exact when all source-target paths are arc-disjoint.
+
+    `prob` is the graph's arc probabilities as a list. `first` maps a node
+    to its depth-1 walk and is filled here; it is the same for every target,
+    so callers scoring many targets pass one dict to all of them. Deeper
+    walks are memoized for this target only, and the top-level walk is not
+    stored at all.
     """
     in_nbrs = graph.in_nbrs
     in_arcs = graph.in_arcs
-    prob = graph.prob
     memo = {}
 
     def walk(node, budget):
         if budget == 0:
             return {node: 1.0}
-        key = (node, budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        cache, key = (first, node) if budget == 1 else (memo, (node, budget))
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = spread(node, budget)
+        return got
+
+    def spread(node, budget):
         survive = {}
-        nbrs = in_nbrs[node]
-        arcs = in_arcs[node]
-        for i in range(len(nbrs)):
-            p_arc = prob[arcs[i]]
-            for s, q in walk(nbrs[i], budget - 1).items():
+        for nbr, arc in zip(in_nbrs[node], in_arcs[node]):
+            p_arc = prob[arc]
+            for s, q in walk(nbr, budget - 1).items():
                 survive[s] = survive.get(s, 1.0) * (1.0 - q * p_arc)
         out = {s: 1.0 - v for s, v in survive.items()}
         out[node] = 1.0
-        memo[key] = out
         return out
 
-    result = dict(walk(target, hops))
-    result.pop(target, None)
+    result = spread(target, hops)
+    del result[target]
     return result
 
 
@@ -80,10 +96,11 @@ def influence_probability(graph, source, target, hops):
 
     Returns 0.0 when the source lies outside the reverse hop neighborhood.
     """
+    _check_hops(hops)
     graph.require_probabilities()
     source = graph.check_node(source)
     target = graph.check_node(target)
-    return _walk_influence(graph, target, hops).get(source, 0.0)
+    return _walk_influence(graph, target, hops, graph.prob.tolist(), {}).get(source, 0.0)
 
 
 def compute_scores(graph, economics, config):
@@ -92,33 +109,43 @@ def compute_scores(graph, economics, config):
     Each node starts from its own benefit. Every target then adds
     P(node influences target) * target benefit to each node in its hop
     neighborhood whose influence probability clears the cutoff. Finally all
-    values are divided by selection cost. Targets are processed in ascending
-    id so accumulation order is deterministic.
+    values are divided by selection cost. A node gets at most one
+    contribution per target and targets are processed in ascending id, so
+    each node's accumulation order is deterministic.
     """
     graph.require_probabilities()
     if economics.node_count != graph.node_count:
         raise ValueError("economics sized for a different graph")
-    eb = economics.benefit.astype(np.float64).copy()
+    eb = economics.benefit.astype(np.float64).tolist()
     benefit = economics.benefit
     cutoff = config.cutoff
+    prob = graph.prob.tolist()
+    first = {}
     for t in economics.targets.tolist():
         bt = float(benefit[t])
-        influence = _walk_influence(graph, t, config.hops)
-        for w in sorted(influence):
-            p = influence[w]
+        for w, p in _walk_influence(graph, t, config.hops, prob, first).items():
             if p >= cutoff:
                 eb[w] += p * bt
+    eb = np.array(eb, dtype=np.float64)
     score = eb / economics.cost
     return ScoreTable(expected_benefit=eb, score=score)
 
 
-def hop_based_select(graph, economics, config, budget, *, skip_zero=False):
+def hop_based_select(graph, economics, config, budget, *, skip_zero=False, cache=None):
     """Fill the budget greedily down the cost-scaled score ranking.
 
     Scans the ranking once, adding every node whose cost still fits
     (unaffordable nodes are skipped, the scan continues). With ``skip_zero``
     the fill stops at the first affordable node whose score is not positive
     instead of seeding zero-score nodes.
+
+    ``cache`` is a dict shared by calls on the same graph, economics and
+    config, such as the budgets of one sweep: the first call stores its
+    score table there and later calls reuse it.
     """
-    table = compute_scores(graph, economics, config)
+    table = None if cache is None else cache.get("table")
+    if table is None:
+        table = compute_scores(graph, economics, config)
+        if cache is not None:
+            cache["table"] = table
     return fill_by_rank(economics, budget, table.score, stop_on_zero_gain=skip_zero)

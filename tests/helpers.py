@@ -1,8 +1,13 @@
 """Shared instance builders for the test suite."""
 
-import numpy as np
+import heapq
 
+import numpy as np
+from hypothesis import strategies as st
+
+from ebmax.baselines import _base_degree
 from ebmax.graph import NodeEconomics, SocialGraph
+from ebmax.greedy import _commit_loop
 
 
 def make_graph(n, arcs, directed=True):
@@ -80,3 +85,122 @@ def random_subset_triple(rng, n):
     outside = [v for v in range(n) if v not in set(T)]
     u = int(outside[int(rng.integers(0, len(outside)))])
     return S, T, u
+
+
+# --- references for rewritten kernels -------------------------------------------
+# Each is the implementation the library used before a rewrite that must not
+# change a single float, kept so property tests can compare bit for bit.
+
+
+def reference_walk_influence(graph, target, hops):
+    """Per-target hop recursion: a fresh memo for every target."""
+    in_nbrs = graph.in_nbrs
+    in_arcs = graph.in_arcs
+    prob = graph.prob
+    memo = {}
+
+    def walk(node, budget):
+        if budget == 0:
+            return {node: 1.0}
+        key = (node, budget)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        survive = {}
+        nbrs = in_nbrs[node]
+        arcs = in_arcs[node]
+        for i in range(len(nbrs)):
+            p_arc = prob[arcs[i]]
+            for s, q in walk(nbrs[i], budget - 1).items():
+                survive[s] = survive.get(s, 1.0) * (1.0 - q * p_arc)
+        out = {s: 1.0 - v for s, v in survive.items()}
+        out[node] = 1.0
+        memo[key] = out
+        return out
+
+    result = dict(walk(target, hops))
+    result.pop(target, None)
+    return result
+
+
+def reference_scores(graph, economics, config):
+    """(expected_benefit, score) from `reference_walk_influence`, targets in id order."""
+    eb = economics.benefit.astype(np.float64).copy()
+    benefit = economics.benefit
+    for t in economics.targets.tolist():
+        bt = float(benefit[t])
+        influence = reference_walk_influence(graph, t, config.hops)
+        for w in sorted(influence):
+            p = influence[w]
+            if p >= config.cutoff:
+                eb[w] += p * bt
+    return eb, eb / economics.cost
+
+
+def reference_neighbor_probs(graph):
+    """Per-node dict neighbor -> arc probability over the whole graph,
+    preferring the outgoing arc."""
+    nbr = [dict() for _ in range(graph.node_count)]
+    src = graph.src.tolist()
+    dst = graph.dst.tolist()
+    prob = graph.prob.tolist()
+    for a in range(graph.arc_count):
+        nbr[src[a]][dst[a]] = prob[a]
+    for a in range(graph.arc_count):
+        nbr[dst[a]].setdefault(src[a], prob[a])
+    return nbr
+
+
+def reference_discounted_select(graph, economics, budget, discount):
+    """The discount fill driven by `reference_neighbor_probs`, built up front."""
+    n = graph.node_count
+    deg = _base_degree(graph).astype(np.float64)
+    effective = deg.copy()
+    seeded_neighbors = np.zeros(n, dtype=np.int64)
+    neighbor_prob = reference_neighbor_probs(graph)
+    cost = economics.cost
+
+    heap = [(-effective[v], v) for v in range(n)]
+    heapq.heapify(heap)
+
+    def pick(seeds, chosen, remaining):
+        if seeds:
+            for w, p in neighbor_prob[seeds[-1]].items():
+                if w in chosen:
+                    continue
+                seeded_neighbors[w] += 1
+                effective[w] = deg[w] - discount(deg[w], seeded_neighbors[w], p)
+                heapq.heappush(heap, (-effective[w], w))
+        while heap:
+            neg_eff, v = heapq.heappop(heap)
+            if v in chosen or -neg_eff != effective[v] or cost[v] > remaining:
+                continue
+            gain = float(effective[v])
+            return v, gain, gain, 0
+        return None
+
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain=False)
+
+
+@st.composite
+def tangled_instances(draw, max_nodes=7, max_pairs=10):
+    """Small directed graph with cycles, reciprocal and parallel arcs, plus
+    random economics; every arc probability is drawn on its own."""
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    prob = st.floats(0.01, 1.0)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda uv: uv[0] != uv[1]), max_size=max_pairs))
+    arcs = []
+    for u, v in pairs:
+        arcs.append((u, v, draw(prob)))
+        if draw(st.booleans()):  # reciprocal arc, its own probability
+            arcs.append((v, u, draw(prob)))
+        if draw(st.booleans()):  # parallel arc, its own probability
+            arcs.append((u, v, draw(prob)))
+    targets = sorted(draw(st.sets(node, max_size=n)))
+    benefit = np.zeros(n)
+    for t in targets:
+        benefit[t] = draw(st.floats(1.0, 10.0))
+    cost = np.array([draw(st.floats(0.5, 5.0)) for _ in range(n)])
+    economics = NodeEconomics(cost=cost, benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
+    return SocialGraph(n, arcs, True), economics

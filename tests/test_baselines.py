@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ebmax.baselines as baselines_mod
 from ebmax.baselines import (
     degree_discount_select,
     max_degree_select,
@@ -11,7 +14,13 @@ from ebmax.baselines import (
 from ebmax.graph import SocialGraph
 from ebmax.hop import HopConfig, hop_based_select
 
-from helpers import make_economics, make_graph, random_instance
+from helpers import (
+    make_economics,
+    make_graph,
+    random_instance,
+    reference_discounted_select,
+    tangled_instances,
+)
 
 
 def undirected(n, pairs, p=0.1):
@@ -87,6 +96,11 @@ class TestDegreeDiscount:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"got {bad}"):
                 degree_discount_select(g, econ, bad, p=0.1)
+        for bad_p in (math.nan, math.inf, -math.inf, -1.0, 5.0):
+            with pytest.raises(ValueError, match=f"p must lie in \\[0, 1\\], got {bad_p}"):
+                degree_discount_select(g, econ, 1.0, p=bad_p)
+        for edge_p in (0.0, 1.0):
+            assert degree_discount_select(g, econ, 1.0, p=edge_p).seeds == [0]
 
 
 class TestSingleDiscount:
@@ -181,6 +195,27 @@ class TestSharedInvariants:
         for res in snapshots:
             gains = [t.gain for t in res.trace]
             assert gains and gains[0] == max(gains)
+
+
+class TestPerSeedNeighbors:
+    @given(tangled_instances(max_nodes=8, max_pairs=14), st.floats(0.5, 20.0))
+    def test_fill_matches_whole_graph_neighbor_table(self, instance, budget):
+        # reciprocal arcs carry different probabilities, so the arc each
+        # neighbor's probability is read from shows in degdis's trace
+        g, econ = instance
+        fills = {
+            "degdis": lambda: degree_discount_select(g, econ, budget),
+            "sindis": lambda: single_discount_select(g, econ, budget),
+        }
+        for name, fill in fills.items():
+            got = fill()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(baselines_mod, "_discounted_select", reference_discounted_select)
+                want = fill()
+            assert got.seeds == want.seeds, name
+            assert got.trace == want.trace, name
+            assert got.spent == want.spent, name
+            assert got.stop_reason == want.stop_reason, name
 
 
 def pinned_instances():

@@ -181,6 +181,49 @@ class TestRunExperiment:
             for row in rows:
                 assert (row.eval_count > 0) == (row.algorithm == "igaip"), row
 
+    def test_hop_scores_once_per_sweep(self, small_graph_file, tmp_path, monkeypatch):
+        # the score table does not depend on the budget: a sweep scores once,
+        # inside its first hbh call, and writes the rows per-budget scoring would
+        from ebmax import hop
+
+        select, score = hop.hop_based_select, hop.compute_scores
+        selects = 0
+        running = []  # number of the hbh call in progress
+        scored_in = []  # the hbh call each scoring ran inside, or None
+
+        def spy_select(*args, **kwargs):
+            nonlocal selects
+            selects += 1
+            running.append(selects)
+            try:
+                return select(*args, **kwargs)
+            finally:
+                running.pop()
+
+        def spy_score(*args, **kwargs):
+            scored_in.append(running[-1] if running else None)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(hop, "hop_based_select", spy_select)
+        monkeypatch.setattr(hop, "compute_scores", spy_score)
+        config = dict(algorithms=("hbh", "maxdeg"), budgets=(10.0, 20.0, 40.0))
+        shared = str(tmp_path / "shared.csv")
+        run_experiment(quick_config(small_graph_file, shared, **config))
+        assert selects == 3
+        assert scored_in == [1]
+
+        def per_budget(*args, **kwargs):
+            kwargs.pop("cache")
+            return select(*args, **kwargs)
+
+        scored_in.clear()
+        monkeypatch.setattr(hop, "hop_based_select", per_budget)
+        fresh = str(tmp_path / "fresh.csv")
+        run_experiment(quick_config(small_graph_file, fresh, **config))
+        assert len(scored_in) == 3
+        with open(shared, "rb") as a, open(fresh, "rb") as b:
+            assert a.read() == b.read()
+
     def test_fairness_same_seeds_same_numbers(self, tmp_path):
         # on a one-edge graph maxdeg and sindis pick identical seed sets, so
         # their held-out numbers must agree exactly

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ebmax.diffusion import BenefitEstimator, exact_benefit_bruteforce
 from ebmax.graph import NodeEconomics, SocialGraph
@@ -12,7 +14,14 @@ from ebmax.hop import (
     influence_probability,
 )
 
-from helpers import make_economics, make_graph, random_instance
+from helpers import (
+    make_economics,
+    make_graph,
+    random_instance,
+    reference_scores,
+    reference_walk_influence,
+    tangled_instances,
+)
 
 
 def reachability_oracle(graph, source, target):
@@ -92,6 +101,23 @@ class TestInfluenceProbability:
                     p = influence_probability(g, s, t, 3)
                     assert 0.0 <= p <= 1.0
 
+    def test_bad_hop_count_rejected(self):
+        # a two-hop chain: with hops >= 2 the answer is 0.5 * 0.5
+        g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        assert influence_probability(g, 0, 2, 2) == 0.25
+        for bad in (-1, 0, 1.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                influence_probability(g, 0, 2, bad)
+
+    @given(tangled_instances(), st.sampled_from([1, 2, 3]))
+    def test_matches_per_target_recursion(self, instance, hops):
+        g, _ = instance
+        for t in range(g.node_count):
+            want = reference_walk_influence(g, t, hops)
+            for s in range(g.node_count):
+                if s != t:
+                    assert influence_probability(g, s, t, hops) == want.get(s, 0.0)
+
 
 class TestComputeScores:
     def test_no_targets_all_zero(self):
@@ -144,6 +170,20 @@ class TestComputeScores:
             HopConfig(hops=0)
         with pytest.raises(ValueError):
             HopConfig(cutoff=1.5)
+        for bad in (2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                HopConfig(hops=bad)
+        assert HopConfig(hops=np.int64(3)).hops == 3
+
+    @given(tangled_instances(), st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.1, 0.3]))
+    def test_shared_walks_match_per_target_recursion_bit_for_bit(self, instance, hops, cutoff):
+        # depth-1 walks shared across targets must not change one float
+        g, econ = instance
+        config = HopConfig(hops=hops, cutoff=cutoff)
+        table = compute_scores(g, econ, config)
+        eb, score = reference_scores(g, econ, config)
+        assert table.expected_benefit.tobytes() == eb.tobytes()
+        assert table.score.tobytes() == score.tobytes()
 
 
 class TestHopBasedSelect:
