@@ -11,11 +11,8 @@ from .baselines import (
 )
 from .diffusion import (
     BenefitEstimator,
-    CascadeResult,
     ExactBenefitOracle,
     draw_worlds,
-    exact_benefit_bruteforce,
-    simulate_cascade,
 )
 from .graph import (
     AssignmentScheme,
@@ -53,7 +50,6 @@ from .hop import (
 __all__ = [
     "AssignmentScheme",
     "BenefitEstimator",
-    "CascadeResult",
     "DegreeProportionalCosts",
     "ExactBenefitOracle",
     "ExperimentConfig",
@@ -76,7 +72,6 @@ __all__ = [
     "compute_scores",
     "degree_discount_select",
     "draw_worlds",
-    "exact_benefit_bruteforce",
     "generate_synthetic",
     "greedy_ratio_select",
     "hop_based_select",
@@ -87,5 +82,4 @@ __all__ = [
     "modified_greedy_select",
     "run_experiment",
     "save_edge_list",
-    "simulate_cascade",
 ]

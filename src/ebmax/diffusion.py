@@ -1,4 +1,4 @@
-"""Independent-cascade simulation and Monte Carlo estimation of earned benefit.
+"""Live-edge worlds, and the Monte Carlo and exact expectations of earned benefit.
 
 The estimator pre-draws a fixed list of live-edge worlds and reuses it for
 every query. On a fixed world list the estimate is a coverage function, so it
@@ -15,12 +15,15 @@ call builds it; an estimator that is only asked for estimates, such as the
 harness's held-out ones, never does, and searches each world from the seeds
 instead. Both paths reduce the same per-world benefits with ``fsum``, so every
 value is the same bit for bit.
+
+The exact oracle for tiny graphs runs the same kernel: it enumerates every
+live-arc subset as a world, weighted by its probability, and reads each
+node's target mask from the same per-world pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -154,61 +157,15 @@ def _bit_values(bits, values):
     return [values[8 * i + j] for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
-def _benefit_of(covered, target_set, target_benefit):
-    return math.fsum(target_benefit[t] for t in covered & target_set)
-
-
-# --- cascade simulation -------------------------------------------------------
-
-@dataclass
-class CascadeResult:
-    """Outcome of one cascade: the influenced set and rounds until quiescence."""
-
-    influenced: set
-    steps: int
-    history: list = None  # cumulative active sets per round, when recorded
-
-
-def simulate_cascade(graph, seeds, rng, record_history=False):
-    """Run one independent-cascade realization from the seed set.
-
-    Seeds are active at round 0. Each node activated in round t gets one
-    activation attempt per still-inactive out-neighbor, succeeding with the
-    arc probability; successes activate at round t+1. Nodes never
-    deactivate. Attempt order is fixed (ascending node id, adjacency order)
-    so a seeded generator reproduces the same cascade.
-    """
-    graph.require_probabilities()
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    active = set()
-    for s in seeds:
-        active.add(graph.check_node(s))
-    frontier = sorted(active)
-    history = [frozenset(active)] if record_history else None
-    out_nbrs = graph.out_nbrs
-    out_arcs = graph.out_arcs
-    prob = graph.prob
-    steps = 0
-    while frontier:
-        fresh = []
-        for u in frontier:
-            nbrs = out_nbrs[u]
-            arcs = out_arcs[u]
-            for i in range(len(nbrs)):
-                v = nbrs[i]
-                if v in active:
-                    continue
-                if rng.random() < prob[arcs[i]]:
-                    active.add(v)
-                    fresh.append(v)
-        if not fresh:
-            break
-        steps += 1
-        frontier = sorted(fresh)
-        if record_history:
-            history.append(frozenset(active))
-    return CascadeResult(influenced=active, steps=steps, history=history)
+def _target_bits(economics):
+    """(bits, values): `bits[v]` is node v's own target bit, 1 << j for the j-th
+    target in ascending id order and 0 for a non-target, and `values[j]` is
+    that target's benefit."""
+    targets = economics.targets.tolist()
+    bits = [0] * economics.node_count
+    for j, t in enumerate(targets):
+        bits[t] = 1 << j
+    return bits, [economics.target_benefit[t] for t in targets]
 
 
 # --- live-edge worlds ----------------------------------------------------------
@@ -285,7 +242,7 @@ class BenefitEstimator:
         self.evaluations = 0
         self._target_set = economics.target_set
         self._target_benefit = economics.target_benefit
-        self._target_values = [economics.target_benefit[t] for t in economics.targets.tolist()]
+        self._target_bits, self._target_values = _target_bits(economics)
         self._rows = None  # node -> per-world target masks, once built
         self._last = None  # (key, uncovered masks, benefit lists, values, mean)
         self.worlds = draw_worlds(graph, self.master_seed, self.samples)
@@ -293,9 +250,7 @@ class BenefitEstimator:
     def _index(self):
         """The target-reach index, built from the worlds on first use."""
         if self._rows is None:
-            bits = [0] * self.graph.node_count
-            for j, t in enumerate(self.economics.targets.tolist()):
-                bits[t] = 1 << j
+            bits = self._target_bits
             per_world = [_target_masks(adjacency, bits) for adjacency in self.worlds]
             self._rows = list(zip(*per_world))
             self.worlds = None
@@ -394,49 +349,18 @@ class BenefitEstimator:
 
 # --- exact expectation ----------------------------------------------------------
 
-def exact_benefit_bruteforce(graph, economics, seeds):
-    """Exact expected earned benefit by enumerating every live-arc subset.
-
-    Sums Pr[subset] * benefit(subset) over all 2^m subsets, so it is only
-    usable on tiny graphs; refuses more than 20 arcs.
-    """
-    m = graph.arc_count
-    if m > 20:
-        raise ValueError(f"bruteforce enumeration refused for {m} arcs (limit 20)")
-    graph.require_probabilities()
-    key = _canonical_seeds(seeds, graph.node_count)
-    src = graph.src.tolist()
-    dst = graph.dst.tolist()
-    prob = graph.prob.tolist()
-    tset = economics.target_set
-    tb = economics.target_benefit
-    terms = []
-    for mask in range(1 << m):
-        pr = 1.0
-        adjacency = {}
-        for a in range(m):
-            if (mask >> a) & 1:
-                pr *= prob[a]
-                u = src[a]
-                lst = adjacency.get(u)
-                if lst is None:
-                    adjacency[u] = [dst[a]]
-                else:
-                    lst.append(dst[a])
-            else:
-                pr *= 1.0 - prob[a]
-        covered = _reach(adjacency, key)
-        terms.append(pr * _benefit_of(covered, tset, tb))
-    return math.fsum(terms)
-
-
 class ExactBenefitOracle:
-    """Exact-expectation estimator for tiny graphs with the estimator interface.
+    """Exact expected earned benefit for tiny graphs, with the estimator interface.
 
-    Precomputes reachability over every live-arc subset, then answers
-    estimate/marginal-gain queries from the table. Matches
-    exact_benefit_bruteforce bit for bit: same per-subset probability
-    products, same per-subset benefit values, same fsum reduction.
+    Every one of the 2^m live-arc subsets is a world, weighted by its
+    probability (the product, in arc order, of p for a kept arc and 1 - p for
+    a dropped one); the weighted sum over all worlds is the exact
+    independent-cascade expectation (Kempe, Kleinberg & Tardos, KDD 2003).
+    Each world is built and searched by the estimator's own code
+    (`_build_adjacency`, `_target_masks`), so the oracle and the estimator
+    share one coverage kernel. A query ORs its seeds' target masks in every
+    world, reads each world's benefit from a table indexed by target mask and
+    reduces the probability-weighted values with ``fsum``.
     """
 
     MAX_ARCS = 16
@@ -455,60 +379,29 @@ class ExactBenefitOracle:
         self.evaluations = 0
         self._memo = {}
 
-        subsets = 1 << m
-        arcs = np.arange(m, dtype=np.int64)
-        masks = np.arange(subsets, dtype=np.int64)
-        keep = ((masks[:, None] >> arcs[None, :]) & 1).astype(bool) if m else np.zeros((1, 0), bool)
-
-        prob = graph.prob
-        pr = np.ones(subsets, dtype=np.float64)
-        for a in range(m):
-            pr *= np.where(keep[:, a], prob[a], 1.0 - prob[a])
+        subsets = np.arange(1 << m, dtype=np.int64)
+        keep = ((subsets[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(bool)
+        pr = np.ones(len(subsets), dtype=np.float64)
+        for a, p in enumerate(graph.prob.tolist()):
+            pr *= np.where(keep[:, a], p, 1.0 - p)
         self._pr = pr
 
-        reach = np.tile(np.int64(1) << np.arange(n, dtype=np.int64), (subsets, 1))
-        src = graph.src.tolist()
-        dst = graph.dst.tolist()
-        changed = True
-        while changed:
-            changed = False
-            for a in range(m):
-                u, v = src[a], dst[a]
-                merged = np.where(keep[:, a], reach[:, u] | reach[:, v], reach[:, u])
-                if not np.array_equal(merged, reach[:, u]):
-                    reach[:, u] = merged
-                    changed = True
-        self._reach = reach
-
-        tb = economics.target_benefit
-        bm = np.empty(1 << n, dtype=np.float64)
-        for cover in range(1 << n):
-            hit = []
-            bits = cover
-            while bits:
-                low = bits & -bits
-                t = low.bit_length() - 1
-                val = tb.get(t)
-                if val is not None:
-                    hit.append(val)
-                bits ^= low
-            bm[cover] = math.fsum(hit)
-        self._benefit_by_cover = bm
+        bits, values = _target_bits(economics)
+        src_list = graph.src.tolist()
+        dst_list = graph.dst.tolist()
+        arcs = range(m)
+        worlds = (_build_adjacency(compress(arcs, row), src_list, dst_list) for row in keep.tolist())
+        self._masks = np.array([_target_masks(world, bits) for world in worlds], dtype=np.int64)
+        self._benefit_by_mask = np.array(
+            [math.fsum(_bit_values(mask, values)) for mask in range(1 << len(values))], dtype=np.float64
+        )
 
     def _beta(self, key):
         got = self._memo.get(key)
-        if got is not None:
-            return got
-        if key:
-            cover = self._reach[:, key[0]].copy()
-            for s in key[1:]:
-                cover |= self._reach[:, s]
-            vals = self._benefit_by_cover[cover]
-        else:
-            vals = np.zeros(len(self._pr))
-        beta = math.fsum((self._pr * vals).tolist())
-        self._memo[key] = beta
-        return beta
+        if got is None:
+            cover = np.bitwise_or.reduce(self._masks[:, list(key)], axis=1)
+            got = self._memo[key] = math.fsum((self._pr * self._benefit_by_mask[cover]).tolist())
+        return got
 
     def estimate(self, seeds):
         key = _canonical_seeds(seeds, self.graph.node_count)

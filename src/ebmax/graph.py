@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,25 +70,7 @@ class SocialGraph:
             loops = self.src == self.dst
             if loops.any():
                 raise ValueError(f"self-loop on node {self.src[int(np.argmax(loops))]}")
-            bad_p = ~((self.prob >= 0.0) & (self.prob <= 1.0))  # NaN fails both
-            if bad_p.any():
-                a = int(np.argmax(bad_p))
-                raise ValueError(
-                    f"probability {self.prob[a]} outside [0, 1] on arc ({self.src[a]}, {self.dst[a]})"
-                )
-
-        if not self.directed:
-            # undirected edges are stored as adjacent mirror arcs sharing one probability
-            paired = (
-                m % 2 == 0
-                and np.array_equal(self.src[0::2], self.dst[1::2])
-                and np.array_equal(self.dst[0::2], self.src[1::2])
-                and np.array_equal(self.prob[0::2], self.prob[1::2])
-            )
-            if not paired:
-                raise ValueError(
-                    "undirected graphs need adjacent mirror arc pairs with equal probabilities"
-                )
+        self._check_probabilities(self.prob)
 
         if input_edge is None:
             input_edge = np.arange(m, dtype=np.int64)
@@ -106,6 +89,27 @@ class SocialGraph:
         self.out_degree = np.bincount(self.src, minlength=node_count) if m else np.zeros(node_count, dtype=np.int64)
         self.in_degree = np.bincount(self.dst, minlength=node_count) if m else np.zeros(node_count, dtype=np.int64)
         self.degree = self.out_degree + self.in_degree
+
+    def _check_probabilities(self, prob):
+        """Reject a per-arc probability outside [0, 1] or NaN, and on an
+        undirected graph, arcs that are not adjacent mirror pairs sharing one
+        probability."""
+        bad_p = ~((prob >= 0.0) & (prob <= 1.0))  # NaN fails both
+        if bad_p.any():
+            a = int(np.argmax(bad_p))
+            raise ValueError(f"probability {prob[a]} outside [0, 1] on arc ({self.src[a]}, {self.dst[a]})")
+        if not self.directed:
+            # undirected edges are stored as adjacent mirror arcs sharing one probability
+            paired = (
+                len(prob) % 2 == 0
+                and np.array_equal(self.src[0::2], self.dst[1::2])
+                and np.array_equal(self.dst[0::2], self.src[1::2])
+                and np.array_equal(prob[0::2], prob[1::2])
+            )
+            if not paired:
+                raise ValueError(
+                    "undirected graphs need adjacent mirror arc pairs with equal probabilities"
+                )
 
     def _grouped(self, keys, values, m):
         n = self.node_count
@@ -143,17 +147,15 @@ class SocialGraph:
         return u
 
     def with_probabilities(self, prob):
-        """Copy of this graph with the given per-arc probabilities."""
-        prob = np.asarray(prob, dtype=np.float64)
+        """Copy of this graph with the given per-arc probabilities. The copy
+        shares every other array and the adjacency lists with this graph."""
+        prob = np.ascontiguousarray(prob, dtype=np.float64)
         if prob.shape != self.prob.shape:
             raise ValueError("probability vector length does not match arc count")
-        return SocialGraph(
-            self.node_count,
-            (self.src, self.dst, prob),
-            self.directed,
-            input_edge=self.input_edge,
-            original_ids=self.original_ids,
-        )
+        self._check_probabilities(prob)
+        graph = copy.copy(self)
+        graph.prob = prob
+        return graph
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,10 @@ class NodeEconomics:
     def __post_init__(self):
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=np.float64))
         object.__setattr__(self, "benefit", np.asarray(self.benefit, dtype=np.float64))
-        targets = np.sort(np.asarray(self.targets))
+        targets = np.asarray(self.targets)
+        if targets.dtype.kind not in "iuf":  # bools, strings, objects: check each id
+            targets = np.array([as_node_id(t) for t in targets.tolist()], dtype=np.int64)
+        targets = np.sort(targets)
         if targets.dtype.kind == "f":
             bad = ~(np.isfinite(targets) & (targets == np.floor(targets)))
             if bad.any():

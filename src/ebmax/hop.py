@@ -94,12 +94,15 @@ def _walk_influence(graph, target, hops, prob, first):
 def influence_probability(graph, source, target, hops):
     """Hop-bounded probability that `source` influences `target`.
 
-    Returns 0.0 when the source lies outside the reverse hop neighborhood.
+    Returns 0.0 when the source lies outside the reverse hop neighborhood,
+    and 1.0 when the source is the target: a seed earns its own benefit.
     """
     _check_hops(hops)
     graph.require_probabilities()
     source = graph.check_node(source)
     target = graph.check_node(target)
+    if source == target:
+        return 1.0
     return _walk_influence(graph, target, hops, graph.prob.tolist(), {}).get(source, 0.0)
 
 

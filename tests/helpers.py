@@ -1,11 +1,13 @@
 """Shared instance builders for the test suite."""
 
 import heapq
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from ebmax.baselines import _base_degree
+from ebmax.diffusion import _canonical_seeds, _reach
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
 
@@ -90,6 +92,47 @@ def random_subset_triple(rng, n):
 # --- references for rewritten kernels -------------------------------------------
 # Each is the implementation the library used before a rewrite that must not
 # change a single float, kept so property tests can compare bit for bit.
+
+
+def _benefit_of(covered, target_set, target_benefit):
+    return math.fsum(target_benefit[t] for t in covered & target_set)
+
+
+def reference_exact_benefit(graph, economics, seeds):
+    """Exact expected earned benefit by enumerating every live-arc subset.
+
+    Sums Pr[subset] * benefit(subset) over all 2^m subsets, so it is only
+    usable on tiny graphs; refuses more than 20 arcs. Searches each subset
+    with `_reach`, independently of the oracle's target-mask kernel.
+    """
+    m = graph.arc_count
+    if m > 20:
+        raise ValueError(f"bruteforce enumeration refused for {m} arcs (limit 20)")
+    graph.require_probabilities()
+    key = _canonical_seeds(seeds, graph.node_count)
+    src = graph.src.tolist()
+    dst = graph.dst.tolist()
+    prob = graph.prob.tolist()
+    tset = economics.target_set
+    tb = economics.target_benefit
+    terms = []
+    for mask in range(1 << m):
+        pr = 1.0
+        adjacency = {}
+        for a in range(m):
+            if (mask >> a) & 1:
+                pr *= prob[a]
+                u = src[a]
+                lst = adjacency.get(u)
+                if lst is None:
+                    adjacency[u] = [dst[a]]
+                else:
+                    lst.append(dst[a])
+            else:
+                pr *= 1.0 - prob[a]
+        covered = _reach(adjacency, key)
+        terms.append(pr * _benefit_of(covered, tset, tb))
+    return math.fsum(terms)
 
 
 def reference_walk_influence(graph, target, hops):

@@ -15,7 +15,7 @@ import pytest
 
 from ebmax.baselines import max_degree_select
 from ebmax.cli import main as cli_main
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, exact_benefit_bruteforce
+from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle
 from ebmax.graph import (
     AssignmentScheme,
     UniformProbability,
@@ -65,10 +65,11 @@ def test_criterion_1_estimator_matches_exhaustive_expectation(tmp_path):
         for i in range(50):
             graph, econ = random_instance(rng, max_nodes=8, max_arcs=12)
             est = BenefitEstimator(graph, econ, samples=R, master_seed=int(rng.integers(1 << 30)))
+            oracle = ExactBenefitOracle(graph, econ)
             for _ in range(2):
                 size = int(rng.integers(1, min(4, graph.node_count + 1)))
                 seeds = sorted(rng.choice(graph.node_count, size=size, replace=False).tolist())
-                exact = exact_benefit_bruteforce(graph, econ, seeds)
+                exact = oracle.estimate(seeds)
                 vals = est.per_sample_benefits(seeds)
                 spread = float(np.std(vals, ddof=1))
                 tol = 4.0 * spread / math.sqrt(R) + 1e-12

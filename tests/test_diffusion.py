@@ -2,75 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ebmax.diffusion import (
-    BenefitEstimator,
-    ExactBenefitOracle,
-    draw_worlds,
-    exact_benefit_bruteforce,
-    simulate_cascade,
+from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, draw_worlds
+
+from helpers import (
+    make_economics,
+    make_graph,
+    random_instance,
+    random_subset_triple,
+    reference_exact_benefit,
+    tangled_instances,
 )
-
-from helpers import make_economics, make_graph, random_instance, random_subset_triple
-
-
-class TestSimulateCascade:
-    def test_certain_path(self):
-        g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        res = simulate_cascade(g, {0}, np.random.default_rng(0))
-        assert res.influenced == {0, 1, 2}
-        assert res.steps == 2
-
-    def test_empty_seed_set(self):
-        g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        res = simulate_cascade(g, set(), np.random.default_rng(0))
-        assert res.influenced == set()
-        assert res.steps == 0
-
-    def test_single_edge_activation_frequency(self):
-        # law of large numbers: activation frequency ~ p = 0.5 within 0.01
-        g = make_graph(2, [(0, 1, 0.5)])
-        rng = np.random.default_rng(42)
-        trials = 100_000
-        hits = 0
-        for _ in range(trials):
-            if 1 in simulate_cascade(g, {0}, rng).influenced:
-                hits += 1
-        assert abs(hits / trials - 0.5) < 0.01
-
-    def test_out_of_range_seed(self):
-        g = make_graph(2, [(0, 1, 0.5)])
-        with pytest.raises(ValueError):
-            simulate_cascade(g, {5}, np.random.default_rng(0))
-        for bad in (0.5, True, "1"):
-            with pytest.raises(ValueError, match="is not an integer"):
-                simulate_cascade(g, {bad}, np.random.default_rng(0))
-        assert simulate_cascade(g, {np.int64(0)}, np.random.default_rng(0)).influenced >= {0}
-
-    def test_requires_probabilities(self):
-        g = make_graph(2, [(0, 1, 0.0)])
-        with pytest.raises(ValueError):
-            simulate_cascade(g, {0}, np.random.default_rng(0))
-
-    def test_monotone_activation_history(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            g, econ = random_instance(rng)
-            seeds = {int(rng.integers(0, g.node_count))}
-            res = simulate_cascade(g, seeds, np.random.default_rng(3), record_history=True)
-            for earlier, later in zip(res.history, res.history[1:]):
-                assert earlier < later  # strictly growing until quiescence
-            assert res.history[-1] == res.influenced
-
-    def test_influenced_nodes_have_active_in_neighbor(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            g, econ = random_instance(rng)
-            seeds = {int(s) for s in rng.choice(g.node_count, size=2)}
-            res = simulate_cascade(g, seeds, np.random.default_rng(int(rng.integers(1 << 30))))
-            assert seeds <= res.influenced
-            for v in res.influenced - seeds:
-                assert any(u in res.influenced for u in g.in_nbrs[v])
 
 
 class TestLiveEdgeSampling:
@@ -123,29 +67,24 @@ class TestEarnedBenefitOnSample:
 
 
 class TestExactBruteforce:
+    """Hand values of the exact expectation, read from the oracle."""
+
     def test_two_case_enumeration(self):
         # hand enumeration: kept (p=0.5) earns 10, dropped earns 0 -> 5.0
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[1], benefits={1: 10.0})
-        assert exact_benefit_bruteforce(g, econ, {0}) == 5.0
+        assert ExactBenefitOracle(g, econ).estimate({0}) == 5.0
 
     def test_certain_graph_equals_sample_benefit(self):
         g = make_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         econ = make_economics(4, targets=[2, 3], benefits={2: 4.0, 3: 6.0})
         one_world = BenefitEstimator(g, econ, samples=1, master_seed=0)
-        assert exact_benefit_bruteforce(g, econ, {0}) == one_world.estimate({0})
+        assert ExactBenefitOracle(g, econ).estimate({0}) == one_world.estimate({0})
 
     def test_empty_seed_set(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[1])
-        assert exact_benefit_bruteforce(g, econ, set()) == 0.0
-
-    def test_refuses_large_graphs(self):
-        arcs = [(i, i + 1, 0.5) for i in range(21)]
-        g = make_graph(22, arcs)
-        econ = make_economics(22, targets=[0])
-        with pytest.raises(ValueError, match="refused"):
-            exact_benefit_bruteforce(g, econ, {0})
+        assert ExactBenefitOracle(g, econ).estimate(set()) == 0.0
 
 
 class TestBenefitEstimator:
@@ -158,7 +97,7 @@ class TestBenefitEstimator:
     def test_single_edge_estimate_close_to_oracle(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[1], benefits={1: 10.0})
-        exact = exact_benefit_bruteforce(g, econ, {0})
+        exact = ExactBenefitOracle(g, econ).estimate({0})
         assert exact == 5.0
         est = BenefitEstimator(g, econ, samples=10_000, master_seed=4)
         assert abs(est.estimate({0}) - exact) < 0.3
@@ -268,7 +207,19 @@ class TestExactOracle:
             for _ in range(5):
                 size = int(rng.integers(0, g.node_count + 1))
                 seeds = sorted(rng.choice(g.node_count, size=size, replace=False).tolist())
-                assert oracle.estimate(seeds) == exact_benefit_bruteforce(g, econ, seeds)
+                assert oracle.estimate(seeds) == reference_exact_benefit(g, econ, seeds)
+
+    @given(tangled_instances(max_nodes=6, max_pairs=5), st.data())
+    def test_matches_reference_on_tangled_graphs(self, instance, data):
+        # cycles, reciprocal and parallel arcs, up to 15 arcs
+        g, econ = instance
+        oracle = ExactBenefitOracle(g, econ)
+        nodes = st.integers(0, g.node_count - 1)
+        u = data.draw(nodes)
+        seeds = sorted(data.draw(st.sets(nodes.filter(lambda v: v != u))))
+        before = reference_exact_benefit(g, econ, seeds)
+        assert oracle.estimate(seeds) == before
+        assert oracle.marginal_gain(seeds, u) == reference_exact_benefit(g, econ, seeds + [u]) - before
 
     def test_marginal_gain_consistent(self):
         rng = np.random.default_rng(56)
@@ -293,7 +244,7 @@ class TestOracleConsistency:
             g, econ = random_instance(rng, max_nodes=6, max_arcs=10)
             est = BenefitEstimator(g, econ, samples=R, master_seed=int(rng.integers(1 << 30)))
             seeds = {int(rng.integers(0, g.node_count))}
-            exact = exact_benefit_bruteforce(g, econ, seeds)
+            exact = ExactBenefitOracle(g, econ).estimate(seeds)
             vals = est.per_sample_benefits(seeds)
             spread = float(np.std(vals, ddof=1))
             tol = 4.0 * spread / math.sqrt(R) + 1e-12

@@ -162,6 +162,22 @@ class TestAssignProbabilities:
         for e in range(0, g2.arc_count, 2):
             assert g2.prob[e] == g2.prob[e + 1]
 
+    def test_with_probabilities(self):
+        g = load_text("0 1\n1 2\n", directed=False)
+        g2 = g.with_probabilities([0.2, 0.2, 0.7, 0.7])
+        assert g2.prob.tolist() == [0.2, 0.2, 0.7, 0.7]
+        assert not g.probabilities_assigned  # original untouched
+        # only the probabilities change: the copy shares the validated arrays and adjacency
+        assert g2.out_nbrs is g.out_nbrs and g2.in_arcs is g.in_arcs and g2.src is g.src
+        with pytest.raises(ValueError, match="does not match arc count"):
+            g.with_probabilities([0.2, 0.2])
+        with pytest.raises(ValueError, match="probability nan outside"):
+            g.with_probabilities([0.2, 0.2, float("nan"), float("nan")])
+        with pytest.raises(ValueError, match="probability 1.5 outside"):
+            g.with_probabilities([0.2, 0.2, 1.5, 1.5])
+        with pytest.raises(ValueError, match="mirror arc pairs with equal probabilities"):
+            g.with_probabilities([0.2, 0.3, 0.7, 0.7])
+
     def test_bad_uniform_probability(self):
         with pytest.raises(ValueError):
             UniformProbability(0.0)
@@ -263,6 +279,19 @@ class TestNodeEconomicsValidation:
             NodeEconomics(
                 cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1.7])
             )
+        for bad, named in (
+            ([True], "True"),
+            (["1"], "'1'"),
+            (np.array([True], dtype=object), "True"),
+            (np.array([1, "a"], dtype=object), "'a'"),
+        ):
+            with pytest.raises(ValueError, match=f"node id {named} is not an integer"):
+                NodeEconomics(cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=bad)
+        # an object array of integers holds node ids like any other
+        econ = NodeEconomics(
+            cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1], dtype=object)
+        )
+        assert econ.targets.tolist() == [1] and econ.total_benefit == 2.0
 
     def test_total_benefit(self):
         econ = NodeEconomics(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, exact_benefit_bruteforce
+from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.hop import (
     HopConfig,
@@ -27,7 +27,7 @@ from helpers import (
 def reachability_oracle(graph, source, target):
     """Exact P(source reaches target) by full live-subset enumeration."""
     econ = make_economics(graph.node_count, targets=[target])
-    return exact_benefit_bruteforce(graph, econ, {source})
+    return ExactBenefitOracle(graph, econ).estimate({source})
 
 
 def disjoint_paths_instance(rng, hops):
@@ -66,13 +66,22 @@ class TestInfluenceProbability:
 
     def test_two_disjoint_two_hop_paths(self):
         # hand value: 1 - (1 - 0.25)(1 - 0.25) = 0.4375, confirmed by the
-        # brute-force reachability oracle
+        # exact reachability oracle
         g = make_graph(
             4, [(0, 2, 0.5), (2, 1, 0.5), (0, 3, 0.5), (3, 1, 0.5)]
         )
         oracle = reachability_oracle(g, 0, 1)
         assert oracle == pytest.approx(0.4375, abs=1e-12)
         assert influence_probability(g, 0, 1, 2) == pytest.approx(oracle, abs=1e-9)
+
+    def test_source_is_target(self):
+        # a seed earns its own benefit, whatever the graph around it
+        cycle = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
+        assert influence_probability(cycle, 1, 0, 3) == 0.25
+        for hops in (1, 2, 3):
+            assert influence_probability(cycle, 0, 0, hops) == 1.0
+        isolated = make_graph(3, [(0, 1, 0.5)])
+        assert influence_probability(isolated, 2, 2, 2) == 1.0
 
     def test_unreachable_source_is_zero(self):
         g = make_graph(3, [(0, 1, 0.5)])
