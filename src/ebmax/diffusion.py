@@ -1,20 +1,17 @@
 """Live-edge worlds, and the Monte Carlo and exact expectations of earned benefit.
 
-The estimator pre-draws a fixed list of live-edge worlds and reuses it for
-every query. On a fixed world list the estimate is a coverage function, so it
-is exactly monotone and submodular, which the lazy selection in
+An estimator draws a fixed set of live-edge worlds once and reuses it for
+every query. On a fixed set of worlds the estimate is a coverage function, so
+it is exactly monotone and submodular, which the lazy selection in
 :mod:`ebmax.greedy` relies on. Per-world benefits are reduced with
 ``math.fsum`` (exactly rounded, order-independent), so results do not depend
 on reduction order.
 
-Marginal gains are answered from a target-reach index: for every world, the
+Every query is answered from a target-reach index: for every world, the
 bitmask of the targets each node reaches, built by one pass over the world's
 strongly connected components (the condensation that Ohsaka et al. use in
-*Pruned Monte-Carlo Simulations*, AAAI 2014). The first ``marginal_gain``
-call builds it; an estimator that is only asked for estimates, such as the
-harness's held-out ones, never does, and searches each world from the seeds
-instead. Both paths reduce the same per-world benefits with ``fsum``, so every
-value is the same bit for bit.
+*Pruned Monte-Carlo Simulations*, AAAI 2014). The estimator indexes each
+world as it is drawn and keeps only the masks, never the worlds.
 
 The exact oracle for tiny graphs runs the same kernel: it enumerates every
 live-arc subset as a world, weighted by its probability, and reads each
@@ -30,7 +27,6 @@ import numpy as np
 
 from .graph import as_node_id
 
-_EMPTY = ()
 # set-bit offsets of each byte value, for reading wide target masks a byte at a time
 _BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
 
@@ -64,21 +60,6 @@ def _canonical_seeds(seeds, node_count):
     return out
 
 
-def _reach(adjacency, seeds):
-    """Nodes reachable from the seed set over the given adjacency dict."""
-    visited = set(seeds)
-    stack = list(visited)
-    pop = stack.pop
-    push = stack.append
-    get = adjacency.get
-    while stack:
-        for v in get(pop(), _EMPTY):
-            if v not in visited:
-                visited.add(v)
-                push(v)
-    return visited
-
-
 def _union(a, b):
     """a | b, returned as a or b itself when it equals one of them, so that
     equal masks stay one shared int."""
@@ -97,7 +78,9 @@ def _target_masks(adjacency, bits):
     Tarjan pass: strongly connected components close sinks first, so when a
     component closes, the masks its arcs lead out to are final, and its mask
     is their OR with its members' bits. The members of a component share one
-    int, as does a node whose mask equals one it reaches.
+    int, as does a node whose mask equals one it reaches. A node with no live
+    out-arc is its own closed component at once: it is never pushed, and its
+    own bit is ORed in.
     """
     masks = list(bits)
     closed = len(bits) + 1  # DFS number given to a node once its component closes
@@ -117,13 +100,16 @@ def _target_masks(adjacency, bits):
             v, arcs = path[-1]
             for w in arcs:
                 if not number[w]:
-                    counter += 1
-                    number[w] = low[w] = counter
-                    open_nodes.append(w)
-                    path.append((w, iter(get(w, _EMPTY))))
-                    break
+                    out = get(w)
+                    if out is not None:
+                        counter += 1
+                        number[w] = low[w] = counter
+                        open_nodes.append(w)
+                        path.append((w, iter(out)))
+                        break
+                    number[w] = closed  # a sink
                 # w's component is closed (final mask) or is v's own (partial mask)
-                if number[w] < low[v]:
+                elif number[w] < low[v]:
                     low[v] = number[w]
                 masks[v] = _union(masks[v], masks[w])
             else:
@@ -183,8 +169,9 @@ def _build_adjacency(kept, src_list, dst_list):
 
 
 def draw_worlds(graph, master_seed, count, first=0):
-    """Live-edge worlds first .. first+count-1, each an adjacency dict
-    (node -> live out-neighbors in arc order).
+    """Yield live-edge worlds first .. first+count-1, each an adjacency dict
+    (node -> live out-neighbors in arc order; a node with no live out-arc
+    has no entry).
 
     World i keeps arc a when the Philox draw at (master_seed, i, a) falls
     below the arc's probability, so a world does not depend on `first`,
@@ -196,32 +183,29 @@ def draw_worlds(graph, master_seed, count, first=0):
     m = graph.arc_count
     src_list = graph.src.tolist()
     dst_list = graph.dst.tolist()
-    worlds = []
     chunk = max(1, (4 << 20) // max(1, _sample_stride(m)))
     stop = first + count
     for lo in range(first, stop, chunk):
         hi = min(lo + chunk, stop)
         keep = _sample_rows(master_seed, lo, hi - lo, m) < graph.prob
         for row in keep:
-            worlds.append(_build_adjacency(np.flatnonzero(row).tolist(), src_list, dst_list))
-    return worlds
+            yield _build_adjacency(np.flatnonzero(row).tolist(), src_list, dst_list)
 
 
 # --- Monte Carlo estimator ------------------------------------------------------
 
 class BenefitEstimator:
-    """Monte Carlo earned-benefit estimates over a fixed pre-drawn world list.
+    """Monte Carlo earned-benefit estimates over a fixed set of R worlds.
 
     The same R worlds back every query, so repeated calls with the same seed
     set return identical values, and marginal gains are exact differences of
     two estimates. `evaluations` counts estimate/marginal-gain queries; the
     selection algorithms report it to compare work done.
 
-    The first `marginal_gain` call builds the target-reach index (for each
-    node, its target mask in every world; bit j stands for the j-th target
-    in ascending id order) and releases the adjacency dicts in `worlds`,
-    which the index then stands in for. Until then, queries search the
-    worlds from the seeds.
+    The constructor draws the worlds one at a time and indexes each as it is
+    drawn: the index holds, for each node, its target mask in every world
+    (bit j stands for the j-th target in ascending id order). The worlds
+    themselves are not kept; every query reads the index.
 
     The coverage of the last seed set queried is kept: the greedy selectors
     ask for the gains of many nodes against one seed set in a row, and then
@@ -240,47 +224,25 @@ class BenefitEstimator:
         self.samples = int(samples)
         self.master_seed = int(master_seed)
         self.evaluations = 0
-        self._target_set = economics.target_set
-        self._target_benefit = economics.target_benefit
-        self._target_bits, self._target_values = _target_bits(economics)
-        self._rows = None  # node -> per-world target masks, once built
+        bits, self._target_values = _target_bits(economics)
         self._last = None  # (key, uncovered masks, benefit lists, values, mean)
-        self.worlds = draw_worlds(graph, self.master_seed, self.samples)
-
-    def _index(self):
-        """The target-reach index, built from the worlds on first use."""
-        if self._rows is None:
-            bits = self._target_bits
-            per_world = [_target_masks(adjacency, bits) for adjacency in self.worlds]
-            self._rows = list(zip(*per_world))
-            self.worlds = None
-        return self._rows
+        # node -> its target mask in every world
+        worlds = draw_worlds(graph, self.master_seed, self.samples)
+        self._rows = list(zip(*(_target_masks(world, bits) for world in worlds)))
 
     def _coverage(self, key):
         """(key, uncovered target masks, covered-target benefit lists, values, mean).
 
-        Read from the index once it is built, searched in the worlds before
-        (masks and lists None then). The masks are stored complemented
-        (~cover), so the targets a node newly reaches are its mask & uncovered.
+        The masks are stored complemented (~cover), so the targets a node
+        newly reaches are its mask & uncovered.
         """
         last = self._last
-        rows = self._rows
-        if last is not None and last[0] == key and (rows is None or last[1] is not None):
+        if last is not None and last[0] == key:
             return last
-        if rows is None:
-            tset = self._target_set
-            tb = self._target_benefit
-            vals = [math.fsum([tb[t] for t in _reach(adjacency, key) & tset]) for adjacency in self.worlds]
-            self._last = (key, None, None, vals, math.fsum(vals) / self.samples)
-            return self._last
+        rows = self._rows
         values = self._target_values
         worlds = range(self.samples)
-        if (
-            last is not None
-            and last[1] is not None
-            and len(key) == len(last[0]) + 1
-            and set(key).issuperset(last[0])
-        ):
+        if last is not None and len(key) == len(last[0]) + 1 and set(key).issuperset(last[0]):
             # the last seed set plus one node: extend its coverage in place
             _, uncovered, bvals, vals, _ = last
             (node,) = set(key).difference(last[0])
@@ -328,7 +290,7 @@ class BenefitEstimator:
         if u in key:
             raise ValueError(f"node {u} is already in the seed set")
         self.evaluations += 1
-        row = self._index()[u]
+        row = self._rows[u]
         _, uncovered, bvals, vals, total = self._coverage(key)
         values = self._target_values
         new_vals = None

@@ -12,6 +12,8 @@ import numpy as np
 # Floor applied to degree-proportional costs so isolated nodes keep a positive cost.
 MIN_COST = 1e-6
 
+_MAX_NODE_ID = np.iinfo(np.int64).max  # original ids are kept as int64
+
 
 def as_node_id(value):
     """`value` as a Python int node id. Python and numpy integers pass; bools,
@@ -302,6 +304,8 @@ def _parse_lines(lines, directed):
             raise GraphParseError(f"node ids must be integers, got {line!r}", line_no) from None
         if u < 0 or v < 0:
             raise GraphParseError(f"node ids must be non-negative, got {line!r}", line_no)
+        if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
+            raise GraphParseError(f"node id {max(u, v)} exceeds the int64 range", line_no)
         if u == v:
             raise GraphParseError(f"self-loop on node {u} rejected", line_no)
         p = None

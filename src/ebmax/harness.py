@@ -4,7 +4,9 @@ One master seed drives every random choice (probability assignment,
 economics, selection samples, held-out evaluation samples), so a run is
 reproducible end to end and every algorithm inside a sweep sees identical
 inputs. Final benefits are always reported from held-out estimators whose
-samples are disjoint from the selection-time ones.
+samples are disjoint from the selection-time ones. Every row is selected
+first; then the held-out reps are built one at a time, each scoring every
+row's seeds before the next is built.
 """
 
 from __future__ import annotations
@@ -208,15 +210,6 @@ def run_experiment(config):
             samples=config.samples,
             master_seed=derive_seed(config.master_seed, _TAG_SELECT),
         )
-    heldout = [
-        BenefitEstimator(
-            graph,
-            economics,
-            samples=config.samples,
-            master_seed=derive_seed(config.master_seed, _TAG_EVAL, r),
-        )
-        for r in range(config.repetitions)
-    ]
     # the hop score table does not depend on the budget: the first hbh row
     # scores, the later budgets reuse its table
     hop_cache = {}
@@ -244,35 +237,51 @@ def run_experiment(config):
             return baselines.single_discount_select(graph, economics, budget)
         raise ConfigError(f"unknown algorithm {name!r}")
 
-    dataset = os.path.splitext(os.path.basename(str(config.graph_path)))[0]
-    rows = []
+    selected = []  # (name, budget, result, seconds), in row order
     for budget in budgets:
         for name in config.algorithms:
             start = time.perf_counter()
             result = dispatch(name, budget)
-            seconds = time.perf_counter() - start
-            finals = [est.estimate(result.seeds) for est in heldout]
-            mean = math.fsum(finals) / len(finals)
-            if len(finals) > 1:
-                var = math.fsum((x - mean) ** 2 for x in finals) / (len(finals) - 1)
-                std = math.sqrt(var)
-            else:
-                std = 0.0
-            rows.append(
-                ResultRow(
-                    dataset=dataset,
-                    algorithm=name,
-                    prob_setting=prob_code,
-                    cost_setting=cost_code,
-                    budget=float(budget),
-                    seed_count=len(result.seeds),
-                    spent=result.spent,
-                    benefit_mean=mean,
-                    benefit_std=std,
-                    eval_count=result.evaluations,
-                    seconds=seconds if config.record_timing else 0.0,
-                )
+            selected.append((name, budget, result, time.perf_counter() - start))
+    selection_estimator = None  # free its index before the held-out ones are built
+
+    # held-out evaluation after selection, one rep's estimator alive at a time
+    finals = [[] for _ in selected]
+    for r in range(config.repetitions):
+        heldout = BenefitEstimator(
+            graph,
+            economics,
+            samples=config.samples,
+            master_seed=derive_seed(config.master_seed, _TAG_EVAL, r),
+        )
+        for row_finals, (_, _, result, _) in zip(finals, selected):
+            row_finals.append(heldout.estimate(result.seeds))
+        del heldout
+
+    dataset = os.path.splitext(os.path.basename(str(config.graph_path)))[0]
+    rows = []
+    for (name, budget, result, seconds), row_finals in zip(selected, finals):
+        mean = math.fsum(row_finals) / len(row_finals)
+        if len(row_finals) > 1:
+            var = math.fsum((x - mean) ** 2 for x in row_finals) / (len(row_finals) - 1)
+            std = math.sqrt(var)
+        else:
+            std = 0.0
+        rows.append(
+            ResultRow(
+                dataset=dataset,
+                algorithm=name,
+                prob_setting=prob_code,
+                cost_setting=cost_code,
+                budget=float(budget),
+                seed_count=len(result.seeds),
+                spent=result.spent,
+                benefit_mean=mean,
+                benefit_std=std,
+                eval_count=result.evaluations,
+                seconds=seconds if config.record_timing else 0.0,
             )
+        )
 
     write_csv(rows, config.output_path)
     return rows
@@ -338,6 +347,8 @@ def generate_synthetic(kind, n, param, seed, path):
         raise ValueError("need at least one node")
     rng = np.random.default_rng(seed)
     if kind == "random":
+        if not (param >= 0 and math.isfinite(param)):
+            raise ValueError(f"a random graph needs a finite, non-negative average degree, got {param}")
         edges = _random_edges(n, float(param), rng)
     elif kind == "preferential":
         if not float(param).is_integer():

@@ -2,8 +2,8 @@
 
 Every Hypothesis property test runs under one profile: derandomized, so each
 run draws the same examples and a failure reproduces; no per-example
-deadline, since an example's first gain query builds the estimator's index;
-and a bounded example count, so the suite's time stays bounded.
+deadline, since an example's estimators index their worlds when built; and a
+bounded example count, so the suite's time stays bounded.
 """
 
 from hypothesis import settings

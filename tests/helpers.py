@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ebmax.baselines import _base_degree
-from ebmax.diffusion import _canonical_seeds, _reach
+from ebmax.diffusion import _canonical_seeds
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
 
@@ -92,6 +92,24 @@ def random_subset_triple(rng, n):
 # --- references for rewritten kernels -------------------------------------------
 # Each is the implementation the library used before a rewrite that must not
 # change a single float, kept so property tests can compare bit for bit.
+
+
+_EMPTY = ()
+
+
+def _reach(adjacency, seeds):
+    """Nodes reachable from the seed set over the given adjacency dict."""
+    visited = set(seeds)
+    stack = list(visited)
+    pop = stack.pop
+    push = stack.append
+    get = adjacency.get
+    while stack:
+        for v in get(pop(), _EMPTY):
+            if v not in visited:
+                visited.add(v)
+                push(v)
+    return visited
 
 
 def _benefit_of(covered, target_set, target_benefit):

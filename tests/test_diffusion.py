@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, draw_worlds
+from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, _target_masks, draw_worlds
 
 from helpers import (
     make_economics,
@@ -20,28 +20,31 @@ from helpers import (
 class TestLiveEdgeSampling:
     def test_certain_edges_all_kept(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        assert draw_worlds(g, master_seed=1, count=1) == [{0: [1, 2], 1: [2]}]
+        assert list(draw_worlds(g, master_seed=1, count=1)) == [{0: [1, 2], 1: [2]}]
 
     def test_vanishing_probability_keeps_nothing(self):
         # expected kept arcs over 1000 worlds = m * 1e-9 * 1000 ~ 3e-6
         g = make_graph(3, [(0, 1, 1e-9), (1, 2, 1e-9), (0, 2, 1e-9)])
-        assert draw_worlds(g, master_seed=2, count=1000) == [{}] * 1000
+        assert list(draw_worlds(g, master_seed=2, count=1000)) == [{}] * 1000
 
     def test_deterministic_per_seed_and_index(self):
         g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)])
-        a = draw_worlds(g, master_seed=9, count=1, first=7)
-        b = draw_worlds(g, master_seed=9, count=1, first=7)
-        c = draw_worlds(g, master_seed=9, count=1, first=8)
+        a = list(draw_worlds(g, master_seed=9, count=1, first=7))
+        b = list(draw_worlds(g, master_seed=9, count=1, first=7))
+        c = list(draw_worlds(g, master_seed=9, count=1, first=8))
         assert a == b
         assert a != c
 
     def test_estimator_samples_match_standalone(self):
-        # world i of a chunked draw equals a single draw of world i
+        # the index's world i is the masks of a single draw of world i
         g = make_graph(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.5), (3, 4, 0.9), (4, 0, 0.2)])
-        econ = make_economics(5, targets=[2])
+        econ = make_economics(5, targets=[2, 4])
         est = BenefitEstimator(g, econ, samples=50, master_seed=13)
+        bits = [0, 0, 1, 0, 2]
         for idx in (0, 1, 17, 49):
-            assert est.worlds[idx] == draw_worlds(g, master_seed=13, count=1, first=idx)[0]
+            (world,) = draw_worlds(g, master_seed=13, count=1, first=idx)
+            assert [row[idx] for row in est._rows] == _target_masks(world, bits)
+        assert len({tuple(row[idx] for row in est._rows) for idx in range(50)}) > 1
 
 
 class TestEarnedBenefitOnSample:

@@ -1,5 +1,6 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -180,6 +181,43 @@ class TestRunExperiment:
             assert [r.eval_count for r in rows] == [res.evaluations for res in results]
             for row in rows:
                 assert (row.eval_count > 0) == (row.algorithm == "igaip"), row
+
+    def test_heldout_estimators_built_after_selection_one_at_a_time(
+        self, small_graph_file, tmp_path, monkeypatch
+    ):
+        # every row is selected before the first held-out estimator is built,
+        # and each rep's estimator is gone before the next one is built
+        from ebmax import baselines, greedy, harness, hop
+
+        events = []
+        alive = weakref.WeakSet()
+        heldout_seeds = {derive_seed(5, 4, r): r for r in range(3)}
+
+        class Spy(harness.BenefitEstimator):
+            def __init__(self, *args, **kwargs):
+                rep = heldout_seeds.get(kwargs["master_seed"])
+                if rep is not None:
+                    events.append(("heldout", rep, len(alive)))
+                    alive.add(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BenefitEstimator", Spy)
+        for module, name in (
+            (greedy, "lazy_greedy_select"),
+            (hop, "hop_based_select"),
+            (baselines, "max_degree_select"),
+        ):
+            def recording(*args, _select=getattr(module, name), _name=name, **kwargs):
+                events.append(("select", _name, None))
+                return _select(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        out = str(tmp_path / "r.csv")
+        run_experiment(quick_config(small_graph_file, out, repetitions=3, budgets=(20.0, 40.0)))
+        assert [e[0] for e in events] == ["select"] * 6 + ["heldout"] * 3
+        assert events[6:] == [("heldout", r, 0) for r in range(3)]
+        assert not alive
 
     def test_hop_scores_once_per_sweep(self, small_graph_file, tmp_path, monkeypatch):
         # the score table does not depend on the budget: a sweep scores once,
@@ -419,6 +457,29 @@ class TestCli:
         assert not graph.exists()
         assert cli_main(["gen", "--kind", "preferential", "--nodes", "20", "--param", "3.0",
                          "--out", str(graph)]) == 0
+
+    def test_gen_random_param_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        for param, named in (("nan", "got nan"), ("inf", "got inf"), ("-1", "got -1.0")):
+            code = cli_main(["gen", "--kind", "random", "--nodes", "6", "--param", param,
+                             "--out", str(graph)])
+            assert code == 2, param
+            assert named in capsys.readouterr().err, param
+        assert not graph.exists()
+        assert cli_main(["gen", "--kind", "random", "--nodes", "6", "--param", "0",
+                         "--out", str(graph)]) == 0
+
+    def test_node_id_beyond_int64_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", str(graph), "--target-frac", "0.5", "--algos", "maxdeg",
+                "--budgets", "5", "--samples", "5", "--reps", "1", "--out", str(out)]
+        graph.write_text("0 1\n# largest int64 next\n1 9223372036854775807\n2 9223372036854775808\n")
+        assert cli_main(base) == 2
+        assert "line 4: node id 9223372036854775808 exceeds the int64 range" in capsys.readouterr().err
+        assert not out.exists()
+        graph.write_text("0 1\n1 9223372036854775807\n")
+        assert cli_main(base) == 0
 
     def test_runtime_failure_exit_code(self, tmp_path):
         graph = str(tmp_path / "g.txt")

@@ -1,23 +1,30 @@
-"""The estimator's target-reach index against the world search it replaces.
+"""The estimator's target-reach index against a plain search of each world.
 
 Property tests draw small directed graphs with cycles, random targets and
 benefits, and a few worlds; the Hypothesis profile is set in conftest.py.
+The reference is `helpers._reach`, the search the estimator ran before every
+world was indexed as it is drawn.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, _bit_values, _reach, _target_masks, draw_worlds
+from ebmax.diffusion import BenefitEstimator, _bit_values, _target_masks, draw_worlds
 from ebmax.graph import NodeEconomics, SocialGraph
 
-from helpers import make_economics, make_graph
+from helpers import _reach, make_economics, make_graph
 
 probabilities = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 benefits = st.one_of(
     st.just(0.0),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
+# a cycle feeding a sink in every world: 0 -> 1 -> 2 -> 0 and 2 -> 3, all
+# certain, and no arc out of 3
+CYCLE_TO_SINK = {(0, 1), (1, 2), (2, 0), (2, 3)}
 
 
 @st.composite
@@ -26,9 +33,11 @@ def instances(draw):
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = sorted(draw(st.sets(st.sampled_from(pairs), max_size=30))) if pairs else []
-    if n >= 3 and draw(st.booleans()):
-        arcs = sorted(set(arcs) | {(0, 1), (1, 2), (2, 0)})  # a cycle in every draw of this branch
-    graph = SocialGraph(n, [(u, v, draw(probabilities)) for u, v in arcs], True)
+    certain = set()
+    if n >= 4 and draw(st.booleans()):
+        certain = CYCLE_TO_SINK
+        arcs = sorted({(u, v) for u, v in arcs if u != 3} | certain)
+    graph = SocialGraph(n, [(u, v, 1.0 if (u, v) in certain else draw(probabilities)) for u, v in arcs], True)
     targets = sorted(draw(st.sets(st.integers(0, n - 1))))
     benefit = np.zeros(n)
     for t in targets:
@@ -48,13 +57,17 @@ def targets_of(mask, economics):
     return {t for j, t in enumerate(economics.targets.tolist()) if mask >> j & 1}
 
 
+def cycle_feeds_sink(graph):
+    arcs = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    return CYCLE_TO_SINK <= arcs and not any(u == 3 for u, _ in arcs)
+
+
 @given(instances())
 def test_masks_are_the_targets_each_node_reaches(instance):
     graph, economics, samples, seed = instance
-    est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
-    worlds = est.worlds
+    worlds = list(draw_worlds(graph, seed, samples))
     bits = target_bits(economics)
-    for p, world in enumerate(worlds):
+    for world in worlds:
         masks = _target_masks(world, bits)
         for v in range(graph.node_count):
             reached = _reach(world, (v,))
@@ -62,13 +75,19 @@ def test_masks_are_the_targets_each_node_reaches(instance):
             for w in reached:
                 if v in _reach(world, (w,)):  # one component: one shared int
                     assert masks[w] is masks[v]
-    rows = est._index()
-    assert est.worlds is None
-    assert rows == list(zip(*(_target_masks(world, bits) for world in worlds)))
+            if v not in world:  # no live out-arc: closed at once with its own bit
+                assert masks[v] is bits[v]
+        if cycle_feeds_sink(graph):
+            # the sink is first met on the cycle's arc 2 -> 3, never pushed
+            assert 3 not in world
+            assert masks[0] is masks[1] is masks[2]
+            assert masks[2] | bits[3] == masks[2]
+    est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
+    assert est._rows == list(zip(*(_target_masks(world, bits) for world in worlds)))
 
 
 @given(instances(), st.data())
-def test_indexed_gain_is_the_difference_of_unindexed_estimates(instance, data):
+def test_gain_is_the_difference_of_two_estimates(instance, data):
     graph, economics, samples, seed = instance
     n = graph.node_count
     est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
@@ -87,20 +106,24 @@ def test_indexed_gain_is_the_difference_of_unindexed_estimates(instance, data):
     if rest:
         u = data.draw(st.sampled_from(rest))
         assert est.marginal_gain(seeds, u) == fresh.estimate(seeds + [u]) - fresh.estimate(seeds)
-    assert fresh.worlds is not None  # estimates alone never build the index
 
 
 @given(instances(), st.data())
-def test_estimates_do_not_change_when_the_index_is_built(instance, data):
+def test_per_sample_benefits_match_the_reference_search(instance, data):
+    # every value read from the index equals the fsum, world by world, of the
+    # benefits of the targets a search from the seeds reaches
     graph, economics, samples, seed = instance
     n = graph.node_count
+    worlds = list(draw_worlds(graph, seed, samples))
+    tset, tb = economics.target_set, economics.target_benefit
     est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
-    sets = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=1, max_size=4))
-    before = [est.estimate(s) for s in sets]
-    spread = [est.per_sample_benefits(s).tolist() for s in sets]
-    est.marginal_gain((), data.draw(st.integers(0, n - 1)))  # builds the index
-    assert [est.estimate(s) for s in sets] == before
-    assert [est.per_sample_benefits(s).tolist() for s in sets] == spread
+    order = data.draw(st.permutations(range(n)))
+    sets = [order[:size] for size in range(n + 1)]  # growing: coverage extended in place
+    sets += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=1, max_size=4))
+    for seeds in sets:
+        expected = [math.fsum([tb[t] for t in _reach(world, seeds) & tset]) for world in worlds]
+        assert est.per_sample_benefits(seeds).tolist() == expected
+        assert est.estimate(seeds) == math.fsum(expected) / samples
 
 
 @given(st.integers(min_value=0, max_value=2**300 - 1))
