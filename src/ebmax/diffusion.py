@@ -3,9 +3,9 @@
 An estimator draws a fixed set of live-edge worlds once and reuses it for
 every query. On a fixed set of worlds the estimate is a coverage function, so
 it is exactly monotone and submodular, which the lazy selection in
-:mod:`ebmax.greedy` relies on. Per-world benefits are reduced with
-``math.fsum`` (exactly rounded, order-independent), so results do not depend
-on reduction order.
+:mod:`ebmax.greedy` relies on. Each world's benefit is an exact int, rounded
+once, and ``math.fsum`` reduces only across worlds (exactly rounded,
+order-independent), so results do not depend on reduction order.
 
 Every query is answered from a target-reach index: for every world, the
 bitmask of the targets each node reaches, built by one pass over the world's
@@ -144,14 +144,17 @@ def _bit_values(bits, values):
 
 
 def _target_bits(economics):
-    """(bits, values): `bits[v]` is node v's own target bit, 1 << j for the j-th
-    target in ascending id order and 0 for a non-target, and `values[j]` is
-    that target's benefit."""
+    """(bits, units, scale): `bits[v]` is node v's own target bit, 1 << j for the
+    j-th target in ascending id order and 0 for a non-target; the j-th benefit is
+    units[j] / scale, `scale` being the largest (power-of-two) denominator, so the
+    sum of any targets' units / scale is exactly rounded, the float fsum gives."""
     targets = economics.targets.tolist()
     bits = [0] * economics.node_count
     for j, t in enumerate(targets):
         bits[t] = 1 << j
-    return bits, [economics.target_benefit[t] for t in targets]
+    ratios = [economics.target_benefit[t].as_integer_ratio() for t in targets]
+    scale = max((den for _, den in ratios), default=1)
+    return bits, [num * (scale // den) for num, den in ratios], scale
 
 
 # --- live-edge worlds ----------------------------------------------------------
@@ -207,10 +210,10 @@ class BenefitEstimator:
     (bit j stands for the j-th target in ascending id order). The worlds
     themselves are not kept; every query reads the index.
 
-    The coverage of the last seed set queried is kept: the greedy selectors
-    ask for the gains of many nodes against one seed set in a row, and then
-    about that set plus the node they committed, whose coverage is extended
-    in place.
+    The coverage of the last seed set queried is kept, each world's benefit an
+    exact int of `_target_bits` units, rounded once: the greedy selectors ask
+    for the gains of many nodes against one seed set in a row, and then about
+    that set plus the node they committed, whose coverage is extended in place.
     """
 
     def __init__(self, graph, economics, samples=10000, master_seed=0):
@@ -224,45 +227,42 @@ class BenefitEstimator:
         self.samples = int(samples)
         self.master_seed = int(master_seed)
         self.evaluations = 0
-        bits, self._target_values = _target_bits(economics)
-        self._last = None  # (key, uncovered masks, benefit lists, values, mean)
+        bits, self._units, self._scale = _target_bits(economics)
+        self._last = None  # (key, uncovered masks, covered units, values, mean)
         # node -> its target mask in every world
         worlds = draw_worlds(graph, self.master_seed, self.samples)
         self._rows = list(zip(*(_target_masks(world, bits) for world in worlds)))
 
     def _coverage(self, key):
-        """(key, uncovered target masks, covered-target benefit lists, values, mean).
+        """(key, uncovered target masks, covered units, values, mean), per world.
 
-        The masks are stored complemented (~cover), so the targets a node
-        newly reaches are its mask & uncovered.
+        The masks are stored complemented (~cover), so the targets a node newly
+        reaches are its mask & uncovered. Each changed world is settled once.
         """
         last = self._last
         if last is not None and last[0] == key:
             return last
         rows = self._rows
-        values = self._target_values
         worlds = range(self.samples)
         if last is not None and len(key) == len(last[0]) + 1 and set(key).issuperset(last[0]):
-            # the last seed set plus one node: extend its coverage in place
-            _, uncovered, bvals, vals, _ = last
-            (node,) = set(key).difference(last[0])
-            row = rows[node]
-            for p in compress(worlds, row):
-                gained = row[p] & uncovered[p]
-                if gained:
-                    uncovered[p] &= ~gained
-                    bvals[p] += _bit_values(gained, values)
-                    vals[p] = math.fsum(bvals[p])
+            _, uncovered, covered, vals, _ = last
+            added = set(key).difference(last[0])
         else:
-            cover = [0] * self.samples
-            for s in key:
-                row = rows[s]
-                for p in compress(worlds, row):
-                    cover[p] |= row[p]
-            uncovered = [~c for c in cover]
-            bvals = [_bit_values(c, values) for c in cover]
-            vals = [math.fsum(b) for b in bvals]
-        self._last = (key, uncovered, bvals, vals, math.fsum(vals) / self.samples)
+            uncovered, covered, vals = [-1] * self.samples, [0] * self.samples, [0.0] * self.samples
+            added = key
+        reached = [0] * self.samples
+        for s in added:
+            row = rows[s]
+            for p in compress(worlds, row):
+                reached[p] |= row[p]
+        units, scale = self._units, self._scale
+        for p in compress(worlds, reached):
+            gained = reached[p] & uncovered[p]
+            if gained:
+                uncovered[p] ^= gained
+                covered[p] += sum(_bit_values(gained, units))
+                vals[p] = covered[p] / scale
+        self._last = (key, uncovered, covered, vals, math.fsum(vals) / self.samples)
         return self._last
 
     def estimate(self, seeds):
@@ -280,10 +280,10 @@ class BenefitEstimator:
         """estimate(seeds + u) - estimate(seeds), read from the index.
 
         Bit-identical to computing the two estimates separately: in each world
-        where u reaches targets the seeds miss, the covered targets' benefits
-        are extended by exactly those, and fsum makes the world's value
-        independent of how its covered set was accumulated. Worlds where u
-        reaches no target cost nothing.
+        where u reaches targets the seeds miss, their units are added to the
+        world's exact int, which is rounded once, so the world's value does not
+        depend on how its covered set was accumulated. Worlds where u reaches
+        no target cost nothing.
         """
         key = _canonical_seeds(seeds, self.graph.node_count)
         u = self.graph.check_node(u)
@@ -291,19 +291,19 @@ class BenefitEstimator:
             raise ValueError(f"node {u} is already in the seed set")
         self.evaluations += 1
         row = self._rows[u]
-        _, uncovered, bvals, vals, total = self._coverage(key)
-        values = self._target_values
+        _, uncovered, covered, vals, total = self._coverage(key)
+        units, scale = self._units, self._scale
         new_vals = None
-        gained_values = {}  # u gains the same targets in many worlds
+        gained_units = {}  # u gains the same targets in many worlds
         for p in compress(range(self.samples), row):
             gained = row[p] & uncovered[p]
             if gained:
                 if new_vals is None:
                     new_vals = list(vals)
-                more = gained_values.get(gained)
+                more = gained_units.get(gained)
                 if more is None:
-                    more = gained_values[gained] = _bit_values(gained, values)
-                new_vals[p] = math.fsum(bvals[p] + more)
+                    more = gained_units[gained] = sum(_bit_values(gained, units))
+                new_vals[p] = (covered[p] + more) / scale
         if new_vals is None:
             return 0.0
         return math.fsum(new_vals) / self.samples - total
@@ -348,14 +348,14 @@ class ExactBenefitOracle:
             pr *= np.where(keep[:, a], p, 1.0 - p)
         self._pr = pr
 
-        bits, values = _target_bits(economics)
+        bits, units, scale = _target_bits(economics)
         src_list = graph.src.tolist()
         dst_list = graph.dst.tolist()
         arcs = range(m)
         worlds = (_build_adjacency(compress(arcs, row), src_list, dst_list) for row in keep.tolist())
         self._masks = np.array([_target_masks(world, bits) for world in worlds], dtype=np.int64)
         self._benefit_by_mask = np.array(
-            [math.fsum(_bit_values(mask, values)) for mask in range(1 << len(values))], dtype=np.float64
+            [sum(_bit_values(mask, units)) / scale for mask in range(1 << len(units))], dtype=np.float64
         )
 
     def _beta(self, key):

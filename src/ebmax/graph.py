@@ -48,19 +48,11 @@ class SocialGraph:
         self.node_count = int(node_count)
         self.directed = bool(directed)
 
-        if isinstance(arcs, tuple) and len(arcs) == 3 and isinstance(arcs[0], np.ndarray):
-            src, dst, prob = arcs
-        else:
-            arcs = list(arcs)
-            src = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=len(arcs))
-            dst = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
-            prob = np.fromiter((a[2] for a in arcs), dtype=np.float64, count=len(arcs))
-        self.src = np.ascontiguousarray(src, dtype=np.int64)
-        self.dst = np.ascontiguousarray(dst, dtype=np.int64)
-        self.prob = np.ascontiguousarray(prob, dtype=np.float64)
-        m = len(self.src)
-        if len(self.dst) != m or len(self.prob) != m:
-            raise ValueError("arc arrays must have equal length")
+        arcs = list(arcs)
+        m = len(arcs)
+        self.src = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=m)
+        self.dst = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=m)
+        self.prob = np.fromiter((a[2] for a in arcs), dtype=np.float64, count=m)
 
         if m:
             bad = (self.src < 0) | (self.src >= node_count) | (self.dst < 0) | (self.dst >= node_count)

@@ -142,6 +142,10 @@ def _validate(config):
     for name in config.algorithms:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")
+    for flag, values in (("--algos", config.algorithms), ("--budgets", config.budgets)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{flag} lists {repeated[0]!r} more than once")
     if not config.algorithms:
         raise ConfigError("no algorithms requested")
     if config.samples < 1:
@@ -160,6 +164,9 @@ def _validate(config):
 def run_experiment(config):
     """Run the full sweep and write the CSV atomically. Returns the rows."""
     _validate(config)
+    out_dir = os.path.dirname(os.path.abspath(config.output_path))
+    if os.path.isdir(config.output_path) or not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {config.output_path}: not a file in an existing directory")
     prob_scheme, prob_code = _parse_probability(config.probability)
     cost_scheme, benefit_scheme, cost_code = _parse_economics(config.economics)
     try:

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ebmax import harness
 from ebmax.cli import main as cli_main
 from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
@@ -481,13 +482,43 @@ class TestCli:
         graph.write_text("0 1\n1 9223372036854775807\n")
         assert cli_main(base) == 0
 
-    def test_runtime_failure_exit_code(self, tmp_path):
+    def test_runtime_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a failure after the sweep has run: the CSV write itself
         graph = str(tmp_path / "g.txt")
         cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
                   "--seed", "0", "--out", graph])
+
+        def failing_write(rows, path):
+            raise OSError(f"disk full writing {len(rows)} rows")
+
+        monkeypatch.setattr(harness, "write_csv", failing_write)
         code = cli_main([
             "run", "--graph", graph, "--algos", "maxdeg", "--budgets", "5",
-            "--samples", "5", "--reps", "1",
-            "--out", str(tmp_path / "no_such_dir" / "r.csv"),
+            "--samples", "5", "--reps", "1", "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 3
+        assert "disk full writing 1 rows" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code_before_the_sweep(self, tmp_path, capsys):
+        # the graph file does not exist either: --out is checked before it is read
+        base = ["run", "--graph", str(tmp_path / "nope.txt"), "--algos", "maxdeg",
+                "--budgets", "5", "--samples", "5", "--reps", "1"]
+        for out in (tmp_path / "no_such_dir" / "r.csv", tmp_path):
+            assert cli_main(base + ["--out", str(out)]) == 2, out
+            err = capsys.readouterr().err
+            assert f"--out {out}" in err, err
+            assert "cannot read graph file" not in err, err
+
+    def test_repeated_value_exit_code(self, tmp_path, capsys):
+        graph = str(tmp_path / "g.txt")
+        cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
+                  "--seed", "0", "--out", graph])
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", graph, "--samples", "5", "--reps", "1", "--out", str(out)]
+        for extra, named in (
+            (["--algos", "maxdeg", "--budgets", "30,5,30"], "--budgets lists 30.0 more than once"),
+            (["--algos", "maxdeg,hbh,maxdeg", "--budgets", "30"], "--algos lists 'maxdeg' more than once"),
+        ):
+            assert cli_main(base + extra) == 2, extra
+            assert named in capsys.readouterr().err, extra
+        assert not out.exists()

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, _bit_values, _target_masks, draw_worlds
+from ebmax.diffusion import BenefitEstimator, _bit_values, _target_bits, _target_masks, draw_worlds
 from ebmax.graph import NodeEconomics, SocialGraph
 
 from helpers import _reach, make_economics, make_graph
@@ -131,6 +131,26 @@ def test_bit_values_reads_every_set_bit(bits):
     # wide masks (16 set bits or more) are read a byte at a time
     values = [float(j) for j in range(300)]
     assert _bit_values(bits, values) == [values[j] for j in range(300) if bits >> j & 1]
+
+
+# the whole finite non-negative range: zero, subnormals, normals up to 1e300
+wide_benefits = st.one_of(
+    st.just(0.0),
+    st.just(5e-324),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@given(st.lists(wide_benefits, max_size=16))
+def test_integer_benefits_round_to_the_fsum_of_every_subset(benefits):
+    n = len(benefits)
+    economics = NodeEconomics(cost=np.ones(n), benefit=np.array(benefits), targets=np.arange(n))
+    _, units, scale = _target_bits(economics)
+    assert scale & (scale - 1) == 0  # a power of two
+    for mask in range(1 << n):
+        chosen = [b for j, b in enumerate(benefits) if mask >> j & 1]
+        assert sum(_bit_values(mask, units)) / scale == math.fsum(chosen)
 
 
 def test_three_cycle_feeding_a_sink_target():
