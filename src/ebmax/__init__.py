@@ -9,11 +9,7 @@ from .baselines import (
     max_degree_select,
     single_discount_select,
 )
-from .diffusion import (
-    BenefitEstimator,
-    ExactBenefitOracle,
-    draw_worlds,
-)
+from .diffusion import BenefitEstimator, ExactBenefitOracle
 from .graph import (
     AssignmentScheme,
     DegreeProportionalCosts,
@@ -71,7 +67,6 @@ __all__ = [
     "best_single_node",
     "compute_scores",
     "degree_discount_select",
-    "draw_worlds",
     "generate_synthetic",
     "greedy_ratio_select",
     "hop_based_select",

@@ -167,6 +167,8 @@ def run_experiment(config):
     out_dir = os.path.dirname(os.path.abspath(config.output_path))
     if os.path.isdir(config.output_path) or not os.path.isdir(out_dir):
         raise ConfigError(f"--out {config.output_path}: not a file in an existing directory")
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {config.output_path}: directory {out_dir} is not writable")
     prob_scheme, prob_code = _parse_probability(config.probability)
     cost_scheme, benefit_scheme, cost_code = _parse_economics(config.economics)
     try:

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ebmax.baselines import _base_degree
-from ebmax.diffusion import _canonical_seeds
+from ebmax.diffusion import _canonical_seeds, _sample_rows, _sample_stride, _union
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
 
@@ -110,6 +110,101 @@ def _reach(adjacency, seeds):
                 visited.add(v)
                 push(v)
     return visited
+
+
+def _build_adjacency(kept, src_list, dst_list):
+    adjacency = {}
+    for a in kept:
+        u = src_list[a]
+        lst = adjacency.get(u)
+        if lst is None:
+            adjacency[u] = [dst_list[a]]
+        else:
+            lst.append(dst_list[a])
+    return adjacency
+
+
+def reference_draw_worlds(graph, master_seed, count, first=0):
+    """Yield live-edge worlds first .. first+count-1, each an adjacency dict
+    (node -> live out-neighbors in arc order; a node with no live out-arc
+    has no entry).
+
+    World i keeps arc a when the Philox draw at (master_seed, i, a) falls
+    below the arc's probability, so a world does not depend on `first`,
+    `count` or how the draws are chunked.
+    """
+    graph.require_probabilities()
+    if first < 0:
+        raise ValueError("world index must be non-negative")
+    m = graph.arc_count
+    src_list = graph.src.tolist()
+    dst_list = graph.dst.tolist()
+    chunk = max(1, (4 << 20) // max(1, _sample_stride(m)))
+    stop = first + count
+    for lo in range(first, stop, chunk):
+        hi = min(lo + chunk, stop)
+        keep = _sample_rows(master_seed, lo, hi - lo, m) < graph.prob
+        for row in keep:
+            yield _build_adjacency(np.flatnonzero(row).tolist(), src_list, dst_list)
+
+
+def reference_target_masks(adjacency, bits):
+    """Bitmask of the targets each node reaches in one world, indexed by node.
+
+    `bits[v]` is node v's own target bit (0 for a non-target). One iterative
+    Tarjan pass: strongly connected components close sinks first, so when a
+    component closes, the masks its arcs lead out to are final, and its mask
+    is their OR with its members' bits. The members of a component share one
+    int, as does a node whose mask equals one it reaches. A node with no live
+    out-arc is its own closed component at once: it is never pushed, and its
+    own bit is ORed in.
+    """
+    masks = list(bits)
+    closed = len(bits) + 1  # DFS number given to a node once its component closes
+    number = [0] * len(bits)  # DFS number from 1; 0 = not visited yet
+    low = [0] * len(bits)
+    open_nodes = []
+    counter = 0
+    get = adjacency.get
+    for root in adjacency:
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        open_nodes.append(root)
+        path = [(root, iter(adjacency[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not number[w]:
+                    out = get(w)
+                    if out is not None:
+                        counter += 1
+                        number[w] = low[w] = counter
+                        open_nodes.append(w)
+                        path.append((w, iter(out)))
+                        break
+                    number[w] = closed  # a sink
+                # w's component is closed (final mask) or is v's own (partial mask)
+                elif number[w] < low[v]:
+                    low[v] = number[w]
+                masks[v] = _union(masks[v], masks[w])
+            else:
+                path.pop()
+                if low[v] == number[v]:
+                    mask = masks[v]
+                    while True:
+                        w = open_nodes.pop()
+                        masks[w] = mask
+                        number[w] = low[w] = closed
+                        if w == v:
+                            break
+                if path:
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    masks[u] = _union(masks[u], masks[v])
+    return masks
 
 
 def _benefit_of(covered, target_set, target_benefit):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, _target_masks, draw_worlds
+from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, _draw_worlds, _target_masks
 
 from helpers import (
     make_economics,
     make_graph,
     random_instance,
     random_subset_triple,
+    reference_draw_worlds,
     reference_exact_benefit,
     tangled_instances,
 )
@@ -20,18 +21,22 @@ from helpers import (
 class TestLiveEdgeSampling:
     def test_certain_edges_all_kept(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        assert list(draw_worlds(g, master_seed=1, count=1)) == [{0: [1, 2], 1: [2]}]
+        assert list(reference_draw_worlds(g, master_seed=1, count=1)) == [{0: [1, 2], 1: [2]}]
+        # the same world in CSR: heads grouped by source in arc order
+        assert list(_draw_worlds(g, [2], master_seed=1, count=1)) == [([0, 1], [1, 2, 2], [0, 2, 3, 3])]
 
     def test_vanishing_probability_keeps_nothing(self):
         # expected kept arcs over 1000 worlds = m * 1e-9 * 1000 ~ 3e-6
         g = make_graph(3, [(0, 1, 1e-9), (1, 2, 1e-9), (0, 2, 1e-9)])
-        assert list(draw_worlds(g, master_seed=2, count=1000)) == [{}] * 1000
+        assert list(reference_draw_worlds(g, master_seed=2, count=1000)) == [{}] * 1000
+        assert list(_draw_worlds(g, [2], master_seed=2, count=1000)) == [([], [], [0, 0, 0, 0])] * 1000
 
     def test_deterministic_per_seed_and_index(self):
         g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)])
-        a = list(draw_worlds(g, master_seed=9, count=1, first=7))
-        b = list(draw_worlds(g, master_seed=9, count=1, first=7))
-        c = list(draw_worlds(g, master_seed=9, count=1, first=8))
+        targets = [0, 1, 2, 3]
+        a = list(_draw_worlds(g, targets, master_seed=9, count=1, first=7))
+        b = list(_draw_worlds(g, targets, master_seed=9, count=1, first=7))
+        c = list(_draw_worlds(g, targets, master_seed=9, count=1, first=8))
         assert a == b
         assert a != c
 
@@ -42,7 +47,7 @@ class TestLiveEdgeSampling:
         est = BenefitEstimator(g, econ, samples=50, master_seed=13)
         bits = [0, 0, 1, 0, 2]
         for idx in (0, 1, 17, 49):
-            (world,) = draw_worlds(g, master_seed=13, count=1, first=idx)
+            (world,) = _draw_worlds(g, econ.targets, master_seed=13, count=1, first=idx)
             assert [row[idx] for row in est._rows] == _target_masks(world, bits)
         assert len({tuple(row[idx] for row in est._rows) for idx in range(50)}) > 1
 

@@ -509,6 +509,28 @@ class TestCli:
             assert f"--out {out}" in err, err
             assert "cannot read graph file" not in err, err
 
+    def test_read_only_out_directory_exit_code_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # a chmod is not enforced for root, so the permission check is faked
+        real_access = os.access
+        checked = []
+
+        def access(path, mode):
+            if path == str(tmp_path):
+                checked.append(mode)
+                return False
+            return real_access(path, mode)
+
+        monkeypatch.setattr(harness.os, "access", access)
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--graph", str(tmp_path / "nope.txt"), "--algos", "maxdeg",
+                         "--budgets", "5", "--samples", "5", "--reps", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and "not writable" in err, err
+        assert "cannot read graph file" not in err, err
+        assert checked == [os.W_OK | os.X_OK]
+        assert not out.exists()
+
     def test_repeated_value_exit_code(self, tmp_path, capsys):
         graph = str(tmp_path / "g.txt")
         cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",

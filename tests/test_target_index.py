@@ -2,20 +2,38 @@
 
 Property tests draw small directed graphs with cycles, random targets and
 benefits, and a few worlds; the Hypothesis profile is set in conftest.py.
-The reference is `helpers._reach`, the search the estimator ran before every
-world was indexed as it is drawn.
+The references are `helpers._reach`, the search the estimator ran before every
+world was indexed as it is drawn, and the adjacency-dict worlds
+(`helpers.reference_draw_worlds`) with their own Tarjan pass
+(`helpers.reference_target_masks`), which the CSR worlds replaced.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, _bit_values, _target_bits, _target_masks, draw_worlds
+from ebmax.diffusion import (
+    BenefitEstimator,
+    _bit_values,
+    _csr_worlds,
+    _draw_worlds,
+    _sample_rows,
+    _target_bits,
+    _target_masks,
+)
 from ebmax.graph import NodeEconomics, SocialGraph
 
-from helpers import _reach, make_economics, make_graph
+from helpers import (
+    _build_adjacency,
+    _reach,
+    make_economics,
+    make_graph,
+    reference_draw_worlds,
+    reference_target_masks,
+)
 
 probabilities = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 benefits = st.one_of(
@@ -65,10 +83,10 @@ def cycle_feeds_sink(graph):
 @given(instances())
 def test_masks_are_the_targets_each_node_reaches(instance):
     graph, economics, samples, seed = instance
-    worlds = list(draw_worlds(graph, seed, samples))
+    worlds = list(reference_draw_worlds(graph, seed, samples))
     bits = target_bits(economics)
     for world in worlds:
-        masks = _target_masks(world, bits)
+        masks = reference_target_masks(world, bits)
         for v in range(graph.node_count):
             reached = _reach(world, (v,))
             assert targets_of(masks[v], economics) == reached & economics.target_set
@@ -83,7 +101,76 @@ def test_masks_are_the_targets_each_node_reaches(instance):
             assert masks[0] is masks[1] is masks[2]
             assert masks[2] | bits[3] == masks[2]
     est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
-    assert est._rows == list(zip(*(_target_masks(world, bits) for world in worlds)))
+    assert est._rows == list(zip(*(reference_target_masks(world, bits) for world in worlds)))
+
+
+def _instance(n, arcs, targets, samples=3, seed=5):
+    graph = SocialGraph(n, arcs, True)
+    benefit = np.zeros(n)
+    benefit[targets] = 1.0
+    economics = NodeEconomics(cost=np.ones(n), benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
+    return graph, economics, samples, seed
+
+
+# a 3-cycle feeding a target sink (3) and a non-target sink (4), which a tail
+# (6) also feeds; 5 is isolated
+TANGLED = _instance(
+    7, [(0, 1, 1.0), (1, 2, 0.8), (2, 0, 1.0), (2, 3, 0.7), (2, 4, 0.9), (6, 4, 1.0), (6, 0, 0.5)], [1, 3]
+)
+
+
+@given(instances())
+@example(TANGLED)
+@example(_instance(3, [], [1]))
+def test_csr_masks_equal_the_reference_masks(instance):
+    # the same keep rows, as CSR worlds and as adjacency dicts
+    graph, economics, samples, seed = instance
+    n = graph.node_count
+    bits = target_bits(economics)
+    src, dst = graph.src.tolist(), graph.dst.tolist()
+    keep = _sample_rows(seed, 0, samples, graph.arc_count) < graph.prob
+    worlds = list(_csr_worlds(keep, graph, economics.targets))
+    assert len(worlds) == samples
+    for row, world in zip(keep, worlds):
+        adjacency = _build_adjacency(np.flatnonzero(row).tolist(), src, dst)
+        assert _target_masks(world, bits) == reference_target_masks(adjacency, bits)
+        # CSR keeps each live arc into a target or a node with a live out-arc, in arc order
+        roots, heads, off = world
+        assert len(off) == n + 1 and off[0] == 0 and off[n] == len(heads)
+        assert roots == [v for v in range(n) if off[v] < off[v + 1]]
+        kept = {u: [d for d in out if bits[d] or d in adjacency] for u, out in adjacency.items()}
+        assert {u: heads[off[u] : off[u + 1]] for u in roots} == {u: out for u, out in kept.items() if out}
+    # an estimator's index is world-by-world the masks of single-world draws
+    est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
+    for i in range(samples):
+        (world,) = _draw_worlds(graph, economics.targets, seed, count=1, first=i)
+        assert [row[i] for row in est._rows] == _target_masks(world, bits)
+
+
+def test_arcs_into_non_target_sinks_are_dropped():
+    # every live arc leads into a non-target sink (1 or 4): no arc is kept
+    graph, economics, _, _ = _instance(5, [(0, 1, 1.0), (2, 1, 1.0), (3, 4, 1.0)], [0, 3])
+    bits = target_bits(economics)
+    (world,) = _draw_worlds(graph, economics.targets, 0, count=1)
+    assert world == ([], [], [0] * 6)
+    masks = _target_masks(world, bits)
+    assert all(masks[v] is bits[v] for v in range(5))
+
+
+def test_world_chunks_stay_small_on_many_nodes_and_few_arcs():
+    # a chunk holds about 4M draws and per-node counts together; without the
+    # node term all 64 worlds' counts (64 x 200k int64, over 100 MB) would be
+    # built at once
+    graph = SocialGraph(200_000, [(0, 1, 1.0), (1, 2, 0.5)], True)
+    tracemalloc.start()
+    try:
+        # 0 -> 1 is kept only in the worlds where 1 -> 2 is live
+        roots = [world[0] for world in _draw_worlds(graph, np.array([2]), 0, count=64)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(roots) == 64 and all(r in ([], [0, 1]) for r in roots) and [0, 1] in roots
+    assert peak < 64 * 2**20
 
 
 @given(instances(), st.data())
@@ -114,7 +201,7 @@ def test_per_sample_benefits_match_the_reference_search(instance, data):
     # benefits of the targets a search from the seeds reaches
     graph, economics, samples, seed = instance
     n = graph.node_count
-    worlds = list(draw_worlds(graph, seed, samples))
+    worlds = list(reference_draw_worlds(graph, seed, samples))
     tset, tb = economics.target_set, economics.target_benefit
     est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
     order = data.draw(st.permutations(range(n)))
@@ -158,7 +245,7 @@ def test_three_cycle_feeding_a_sink_target():
     # target 3 (benefit 5); node 1 is a target too (benefit 2); 5 is isolated
     g = make_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0), (4, 0, 1.0)])
     econ = make_economics(6, targets=[1, 3], benefits={1: 2.0, 3: 5.0})
-    (world,) = draw_worlds(g, master_seed=0, count=1)
+    (world,) = _draw_worlds(g, econ.targets, master_seed=0, count=1)
     masks = _target_masks(world, target_bits(econ))
     assert masks == [0b11, 0b11, 0b11, 0b10, 0b11, 0]
     assert masks[0] is masks[1] is masks[2]
