@@ -228,7 +228,7 @@ def _draw_worlds(graph, targets, master_seed, count, first=0):
     if first < 0:
         raise ValueError("world index must be non-negative")
     m, n = graph.arc_count, graph.node_count
-    chunk = max(1, (4 << 20) // (_sample_stride(m) + n))
+    chunk = max(1, (4 << 20) // max(1, _sample_stride(m) + n))
     stop = first + count
     for lo in range(first, stop, chunk):
         hi = min(lo + chunk, stop)

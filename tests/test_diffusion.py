@@ -42,14 +42,25 @@ class TestLiveEdgeSampling:
 
     def test_estimator_samples_match_standalone(self):
         # the index's world i is the masks of a single draw of world i
-        g = make_graph(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.5), (3, 4, 0.9), (4, 0, 0.2)])
-        econ = make_economics(5, targets=[2, 4])
-        est = BenefitEstimator(g, econ, samples=50, master_seed=13)
-        bits = [0, 0, 1, 0, 2]
-        for idx in (0, 1, 17, 49):
-            (world,) = _draw_worlds(g, econ.targets, master_seed=13, count=1, first=idx)
-            assert [row[idx] for row in est._rows] == _target_masks(world, bits)
-        assert len({tuple(row[idx] for row in est._rows) for idx in range(50)}) > 1
+        cases = [
+            (5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.5), (3, 4, 0.9), (4, 0, 0.2)], [2, 4], 50, (0, 1, 17, 49)),
+            # a chunk holds 4M // (4 + 200k) = 20 worlds: worlds 20 to 22 come from the second chunk
+            (200_000, [(0, 1, 1.0), (1, 2, 0.5)], [2], 23, range(23)),
+        ]
+        for n, arcs, targets, samples, indices in cases:
+            g = make_graph(n, arcs)
+            econ = make_economics(n, targets=targets)
+            est = BenefitEstimator(g, econ, samples=samples, master_seed=13)
+            bits = [0] * n
+            for j, t in enumerate(targets):
+                bits[t] = 1 << j
+            seen = set()
+            for idx in indices:
+                (world,) = _draw_worlds(g, econ.targets, master_seed=13, count=1, first=idx)
+                masks = _target_masks(world, bits)
+                assert [row[idx] for row in est._rows] == masks
+                seen.add(tuple(masks))
+            assert len(seen) > 1
 
 
 class TestEarnedBenefitOnSample:
@@ -60,6 +71,9 @@ class TestEarnedBenefitOnSample:
         econ = make_economics(2, targets=[1], benefits={1: 10.0})
         est = BenefitEstimator(g, econ, samples=1, master_seed=0)
         assert est.estimate(set()) == 0.0
+        # a graph with no nodes gives an empty index
+        est = BenefitEstimator(make_graph(0, []), make_economics(0, targets=[]), samples=3, master_seed=0)
+        assert est._rows == [] and est.estimate(set()) == 0.0
 
     def test_seeded_target_counts_itself(self):
         g = make_graph(2, [(0, 1, 1.0)])
