@@ -45,7 +45,9 @@ def _discounted_select(graph, economics, budget, discount):
     deg = _base_degree(graph).astype(np.float64)
     effective = deg.copy()
     seeded_neighbors = np.zeros(n, dtype=np.int64)
-    prob = graph.prob
+    dst, src, prob = graph.dst, graph.src, graph.prob
+    out_offsets, out_arcs = graph.out_csr
+    in_offsets, in_arcs = graph.in_csr
     cost = economics.cost
 
     heap = [(-effective[v], v) for v in range(n)]
@@ -54,8 +56,10 @@ def _discounted_select(graph, economics, budget, discount):
     def pick(seeds, chosen, remaining):
         if seeds:
             last = seeds[-1]
-            neighbor_prob = dict(zip(graph.out_nbrs[last], prob[graph.out_arcs[last]].tolist()))
-            for w, p in zip(graph.in_nbrs[last], prob[graph.in_arcs[last]].tolist()):
+            out = out_arcs[out_offsets[last]:out_offsets[last + 1]]
+            neighbor_prob = dict(zip(dst[out].tolist(), prob[out].tolist()))
+            into = in_arcs[in_offsets[last]:in_offsets[last + 1]]
+            for w, p in zip(src[into].tolist(), prob[into].tolist()):
                 neighbor_prob.setdefault(w, p)
             for w, p in neighbor_prob.items():
                 if w in chosen:

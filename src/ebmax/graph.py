@@ -33,16 +33,29 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+def _arc_index(keys, n):
+    """CSR index of arcs grouped by `keys`: `(offsets, arcs)` such that
+    `arcs[offsets[v]:offsets[v + 1]]` are the arcs keyed v, in input order,
+    which score accumulation relies on."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets, np.argsort(keys, kind="stable")
+
+
 class SocialGraph:
     """Immutable directed graph whose arcs carry influence probabilities.
 
-    Node ids are dense integers in [0, n). An undirected input edge is stored
-    as two opposing arcs that share a single probability value. Probability
-    0.0 is a sentinel meaning "not assigned yet"; diffusion code refuses to
-    run until every arc has a probability in (0, 1].
+    Node ids are dense integers in [0, n). The arcs are the numpy arrays
+    `src`, `dst` and `prob`, indexed per direction by `out_csr` and `in_csr`:
+    each is an `(offsets, arcs)` pair of int64 arrays, so that
+    `arcs[offsets[v]:offsets[v + 1]]` are the ids of v's out- (in-) arcs in
+    input order. An undirected input edge is stored as two adjacent opposing
+    arcs that share a single probability value. Probability 0.0 is a
+    sentinel meaning "not assigned yet"; diffusion code refuses to run until
+    every arc has a probability in (0, 1].
     """
 
-    def __init__(self, node_count, arcs, directed=True, *, input_edge=None, original_ids=None):
+    def __init__(self, node_count, arcs, directed=True, *, original_ids=None):
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
         self.node_count = int(node_count)
@@ -66,23 +79,13 @@ class SocialGraph:
                 raise ValueError(f"self-loop on node {self.src[int(np.argmax(loops))]}")
         self._check_probabilities(self.prob)
 
-        if input_edge is None:
-            input_edge = np.arange(m, dtype=np.int64)
-        self.input_edge = np.asarray(input_edge, dtype=np.int64)
-        self.input_edge_count = int(self.input_edge.max()) + 1 if m else 0
         if original_ids is None:
             original_ids = np.arange(node_count, dtype=np.int64)
         self.original_ids = np.asarray(original_ids, dtype=np.int64)
 
-        # Python adjacency lists are the fastest structure for the BFS-heavy
-        # code paths. Stable grouping keeps neighbors in arc-input order, which
-        # downstream determinism (cascade draws, score accumulation) relies on.
-        self.out_nbrs, self.out_arcs = self._grouped(self.src, self.dst, m)
-        self.in_nbrs, self.in_arcs = self._grouped(self.dst, self.src, m)
-
-        self.out_degree = np.bincount(self.src, minlength=node_count) if m else np.zeros(node_count, dtype=np.int64)
-        self.in_degree = np.bincount(self.dst, minlength=node_count) if m else np.zeros(node_count, dtype=np.int64)
-        self.degree = self.out_degree + self.in_degree
+        self.out_csr = _arc_index(self.src, self.node_count)
+        self.in_csr = _arc_index(self.dst, self.node_count)
+        self.degree = np.diff(self.out_csr[0]) + np.diff(self.in_csr[0])
 
     def _check_probabilities(self, prob):
         """Reject a per-arc probability outside [0, 1] or NaN, and on an
@@ -105,22 +108,6 @@ class SocialGraph:
                     "undirected graphs need adjacent mirror arc pairs with equal probabilities"
                 )
 
-    def _grouped(self, keys, values, m):
-        n = self.node_count
-        if not m:
-            empty = [[] for _ in range(n)]
-            return empty, [[] for _ in range(n)]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        ids = np.arange(n)
-        starts = np.searchsorted(sorted_keys, ids, side="left").tolist()
-        ends = np.searchsorted(sorted_keys, ids, side="right").tolist()
-        values_sorted = values[order].tolist()
-        order_list = order.tolist()
-        nbrs = [values_sorted[starts[u]:ends[u]] for u in range(n)]
-        arcs = [order_list[starts[u]:ends[u]] for u in range(n)]
-        return nbrs, arcs
-
     @property
     def arc_count(self):
         return len(self.src)
@@ -142,7 +129,7 @@ class SocialGraph:
 
     def with_probabilities(self, prob):
         """Copy of this graph with the given per-arc probabilities. The copy
-        shares every other array and the adjacency lists with this graph."""
+        shares every other array and both arc indexes with this graph."""
         prob = np.ascontiguousarray(prob, dtype=np.float64)
         if prob.shape != self.prob.shape:
             raise ValueError("probability vector length does not match arc count")
@@ -334,22 +321,13 @@ def load_edge_list(source, directed=True):
     remap = {orig: dense for dense, orig in enumerate(ids)}
 
     arcs = []
-    input_edge = []
-    for e, (u, v, p) in enumerate(edges):
+    for u, v, p in edges:
         du, dv = remap[u], remap[v]
         pv = 0.0 if p is None else p
         arcs.append((du, dv, pv))
-        input_edge.append(e)
         if not directed:
             arcs.append((dv, du, pv))
-            input_edge.append(e)
-    return SocialGraph(
-        len(ids),
-        arcs,
-        directed,
-        input_edge=np.asarray(input_edge, dtype=np.int64),
-        original_ids=np.asarray(ids, dtype=np.int64),
-    )
+    return SocialGraph(len(ids), arcs, directed, original_ids=np.asarray(ids, dtype=np.int64))
 
 
 def save_edge_list(graph, target):
@@ -383,9 +361,10 @@ def save_edge_list(graph, target):
 def assign_probabilities(graph, scheme, seed=0):
     """Return a copy of the graph with probabilities drawn per the scheme.
 
-    The trivalency draw happens once per input edge in input-file order, so
-    the two arcs of an undirected edge share one value and results are
-    reproducible for a fixed seed.
+    The trivalency draw happens once per input edge in arc order: once per
+    arc on a directed graph, once per adjacent mirror pair on an undirected
+    one. So the two arcs of an undirected edge share one value and results
+    are reproducible for a fixed seed.
     """
     if isinstance(scheme, UniformProbability):
         prob = np.full(graph.arc_count, scheme.p, dtype=np.float64)
@@ -393,8 +372,9 @@ def assign_probabilities(graph, scheme, seed=0):
     if isinstance(scheme, TrivalencyProbability):
         rng = np.random.default_rng(seed)
         values = np.asarray(scheme.values, dtype=np.float64)
-        picks = rng.integers(0, len(values), size=graph.input_edge_count)
-        prob = values[picks][graph.input_edge] if graph.arc_count else np.empty(0)
+        per_edge = 1 if graph.directed else 2
+        picks = rng.integers(0, len(values), size=graph.arc_count // per_edge)
+        prob = np.repeat(values[picks], per_edge)
         return graph.with_probabilities(prob)
     raise TypeError(f"unknown probability scheme {scheme!r}")
 

@@ -46,7 +46,15 @@ class ScoreTable:
     score: np.ndarray
 
 
-def _walk_influence(graph, target, hops, prob, first):
+def _in_arcs(graph):
+    """The graph's in-arcs as lists `(offsets, tails, probs)`: node v's
+    in-arcs in input order come from `tails[offsets[v]:offsets[v + 1]]`
+    with the matching arc probabilities."""
+    offsets, arcs = graph.in_csr
+    return offsets.tolist(), graph.src[arcs].tolist(), graph.prob[arcs].tolist()
+
+
+def _walk_influence(in_arcs, target, hops, first):
     """Influence probability onto `target` for every node within `hops` reverse arcs.
 
     Combines walks independently: the probability that a source reaches a
@@ -57,14 +65,13 @@ def _walk_influence(graph, target, hops, prob, first):
     independent, so on graphs with overlapping paths this overestimates;
     it is exact when all source-target paths are arc-disjoint.
 
-    `prob` is the graph's arc probabilities as a list. `first` maps a node
-    to its depth-1 walk and is filled here; it is the same for every target,
-    so callers scoring many targets pass one dict to all of them. Deeper
-    walks are memoized for this target only, and the top-level walk is not
-    stored at all.
+    `in_arcs` is the graph's in-arc triple from `_in_arcs`. `first` maps a
+    node to its depth-1 walk and is filled here; it is the same for every
+    target, so callers scoring many targets pass one dict to all of them.
+    Deeper walks are memoized for this target only, and the top-level walk
+    is not stored at all.
     """
-    in_nbrs = graph.in_nbrs
-    in_arcs = graph.in_arcs
+    offsets, tails, probs = in_arcs
     memo = {}
 
     def walk(node, budget):
@@ -78,8 +85,8 @@ def _walk_influence(graph, target, hops, prob, first):
 
     def spread(node, budget):
         survive = {}
-        for nbr, arc in zip(in_nbrs[node], in_arcs[node]):
-            p_arc = prob[arc]
+        lo, hi = offsets[node], offsets[node + 1]
+        for nbr, p_arc in zip(tails[lo:hi], probs[lo:hi]):
             for s, q in walk(nbr, budget - 1).items():
                 survive[s] = survive.get(s, 1.0) * (1.0 - q * p_arc)
         out = {s: 1.0 - v for s, v in survive.items()}
@@ -103,7 +110,7 @@ def influence_probability(graph, source, target, hops):
     target = graph.check_node(target)
     if source == target:
         return 1.0
-    return _walk_influence(graph, target, hops, graph.prob.tolist(), {}).get(source, 0.0)
+    return _walk_influence(_in_arcs(graph), target, hops, {}).get(source, 0.0)
 
 
 def compute_scores(graph, economics, config):
@@ -122,11 +129,11 @@ def compute_scores(graph, economics, config):
     eb = economics.benefit.astype(np.float64).tolist()
     benefit = economics.benefit
     cutoff = config.cutoff
-    prob = graph.prob.tolist()
+    in_arcs = _in_arcs(graph)
     first = {}
     for t in economics.targets.tolist():
         bt = float(benefit[t])
-        for w, p in _walk_influence(graph, t, config.hops, prob, first).items():
+        for w, p in _walk_influence(in_arcs, t, config.hops, first).items():
             if p >= cutoff:
                 eb[w] += p * bt
     eb = np.array(eb, dtype=np.float64)

@@ -249,9 +249,14 @@ def reference_exact_benefit(graph, economics, seeds):
 
 
 def reference_walk_influence(graph, target, hops):
-    """Per-target hop recursion: a fresh memo for every target."""
-    in_nbrs = graph.in_nbrs
-    in_arcs = graph.in_arcs
+    """Per-target hop recursion: a fresh memo for every target. Its in-lists
+    are built here by a plain loop over the arcs, not read from the graph's
+    index."""
+    in_nbrs = [[] for _ in range(graph.node_count)]
+    in_arcs = [[] for _ in range(graph.node_count)]
+    for a, (u, v) in enumerate(zip(graph.src.tolist(), graph.dst.tolist())):
+        in_nbrs[v].append(u)
+        in_arcs[v].append(a)
     prob = graph.prob
     memo = {}
 

@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from ebmax.graph import (
     AssignmentScheme,
@@ -21,7 +23,7 @@ from ebmax.graph import (
     save_edge_list,
 )
 
-from helpers import make_graph
+from helpers import make_graph, tangled_instances
 
 
 def load_text(text, directed=True):
@@ -88,12 +90,42 @@ class TestLoadEdgeList:
 
 
 class TestSocialGraphInvariants:
-    def test_adjacency_directions_agree(self):
-        g = load_text("0 1 0.5\n1 2 0.25\n2 0 1.0\n0 2 0.75\n")
-        fwd = {(u, v) for u in range(g.node_count) for v in g.out_nbrs[u]}
-        rev = {(u, v) for v in range(g.node_count) for u in g.in_nbrs[v]}
-        arcs = set(zip(g.src.tolist(), g.dst.tolist()))
-        assert fwd == rev == arcs
+    @given(tangled_instances())
+    @example((SocialGraph(0, []), None))  # empty graph
+    @example((SocialGraph(5, [(3, 1, 0.5), (1, 3, 0.5)]), None))  # isolated nodes 0, 2, 4
+    def test_adjacency_directions_agree(self, instance):
+        g, _ = instance
+        n = g.node_count
+        src, dst = g.src.tolist(), g.dst.tolist()
+        for csr, heads in ((g.out_csr, src), (g.in_csr, dst)):
+            offsets, arcs = csr
+            assert offsets.dtype == arcs.dtype == np.int64
+            assert len(offsets) == n + 1
+            for v in range(n):
+                expected = [a for a in range(g.arc_count) if heads[a] == v]
+                assert arcs[offsets[v]:offsets[v + 1]].tolist() == expected
+        expected_degree = np.bincount(g.src, minlength=n) + np.bincount(g.dst, minlength=n)
+        assert np.array_equal(g.degree, expected_degree)
+
+    def test_graph_holds_little_beyond_its_arc_arrays(self):
+        # 10k nodes, 75k undirected edges as 150k mirror arcs: the arrays and
+        # both arc indexes come to about 6 MB, while per-node Python lists of
+        # the same arcs would add about 24 MB
+        rng = np.random.default_rng(0)
+        n, edges = 10_000, 75_000
+        u = rng.integers(0, n, size=edges)
+        v = (u + rng.integers(1, n, size=edges)) % n
+        arcs = []
+        for a, b in zip(u.tolist(), v.tolist()):
+            arcs += [(a, b, 0.0), (b, a, 0.0)]
+        tracemalloc.start()
+        try:
+            g = SocialGraph(n, arcs, directed=False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.arc_count == 150_000
+        assert held < 10 * 2**20, f"graph holds {held / 2**20:.1f} MB"
 
     def test_rejects_bad_arcs(self):
         with pytest.raises(ValueError):
@@ -157,18 +189,22 @@ class TestAssignProbabilities:
         assert np.array_equal(a.prob, b.prob)
 
     def test_trivalency_undirected_pairs_share_draw(self):
-        g = load_text("0 1\n1 2\n2 3\n3 4\n4 5\n", directed=False)
-        g2 = assign_probabilities(g, TrivalencyProbability(), seed=5)
-        for e in range(0, g2.arc_count, 2):
-            assert g2.prob[e] == g2.prob[e + 1]
+        loaded = load_text("0 1\n1 2\n2 3\n3 4\n4 5\n", directed=False)
+        # built without an edge list: still one draw per mirror pair, not per arc
+        built = SocialGraph(3, [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.0), (2, 1, 0.0)], directed=False)
+        for g in (loaded, built):
+            for seed in range(6):
+                g2 = assign_probabilities(g, TrivalencyProbability(), seed=seed)
+                for e in range(0, g2.arc_count, 2):
+                    assert g2.prob[e] == g2.prob[e + 1]
 
     def test_with_probabilities(self):
         g = load_text("0 1\n1 2\n", directed=False)
         g2 = g.with_probabilities([0.2, 0.2, 0.7, 0.7])
         assert g2.prob.tolist() == [0.2, 0.2, 0.7, 0.7]
         assert not g.probabilities_assigned  # original untouched
-        # only the probabilities change: the copy shares the validated arrays and adjacency
-        assert g2.out_nbrs is g.out_nbrs and g2.in_arcs is g.in_arcs and g2.src is g.src
+        # only the probabilities change: the copy shares the validated arrays and arc indexes
+        assert g2.out_csr is g.out_csr and g2.in_csr is g.in_csr and g2.src is g.src
         with pytest.raises(ValueError, match="does not match arc count"):
             g.with_probabilities([0.2, 0.2])
         with pytest.raises(ValueError, match="probability nan outside"):
