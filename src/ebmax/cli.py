@@ -30,7 +30,11 @@ def build_parser():
     run = sub.add_parser("run", help="run a budget sweep and write a results CSV")
     run.add_argument("--graph", required=True, help="edge-list file (src dst [prob] per line)")
     run.add_argument("--directed", action="store_true", help="treat input edges as directed")
-    run.add_argument("--prob", default="uniform:0.1", help="uniform:P or trivalency")
+    run.add_argument(
+        "--prob",
+        default="uniform:0.1",
+        help="uniform:P, trivalency, or file (the edge list's own probability column)",
+    )
     run.add_argument("--econ", default="random", choices=["random", "degprop"])
     run.add_argument("--target-frac", type=float, default=0.2, help="fraction of nodes made targets")
     run.add_argument("--budgets", type=_comma_floats, default=(), help="comma-separated budget values")

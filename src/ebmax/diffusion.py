@@ -63,6 +63,22 @@ def _canonical_seeds(seeds, node_count):
     return out
 
 
+def _query_nodes(nodes, key, node_count):
+    """The queried nodes as a list of int ids, checked as one batch against
+    the canonical seed set `key`: integers (no bools or floats), inside
+    [0, node_count) and not seeds. The error names the first offending node."""
+    nodes = list(nodes)
+    if not set(map(type, nodes)) <= {int}:  # as in _canonical_seeds
+        nodes = [as_node_id(u) for u in nodes]
+    if nodes and (min(nodes) < 0 or max(nodes) >= node_count):
+        u = next(u for u in nodes if not 0 <= u < node_count)
+        raise ValueError(f"node id {u} outside [0, {node_count})")
+    if key and not set(nodes).isdisjoint(key):
+        u = next(u for u in nodes if u in key)
+        raise ValueError(f"node {u} is already in the seed set")
+    return nodes
+
+
 def _union(a, b):
     """a | b, returned as a or b itself when it equals one of them, so that
     equal masks stay one shared int."""
@@ -243,8 +259,9 @@ class BenefitEstimator:
 
     The same R worlds back every query, so repeated calls with the same seed
     set return identical values, and marginal gains are exact differences of
-    two estimates. `evaluations` counts estimate/marginal-gain queries; the
-    selection algorithms report it to compare work done.
+    two estimates. `evaluations` counts estimate/marginal-gain queries, each
+    node of a `marginal_gains` batch as one; the selection algorithms report
+    it to compare work done.
 
     The constructor draws the worlds a chunk at a time and indexes each as it
     is drawn: the index holds, for each node, its target mask in every world
@@ -253,8 +270,9 @@ class BenefitEstimator:
 
     The coverage of the last seed set queried is kept, each world's benefit an
     exact int of `_target_bits` units, rounded once: the greedy selectors ask
-    for the gains of many nodes against one seed set in a row, and then about
-    that set plus the node they committed, whose coverage is extended in place.
+    for the gains of many nodes against one seed set in one batch, and then
+    about that set plus the node they committed, whose coverage is extended in
+    place.
     """
 
     def __init__(self, graph, economics, samples=10000, master_seed=0):
@@ -318,36 +336,44 @@ class BenefitEstimator:
         return np.array(self._coverage(key)[3], dtype=np.float64)
 
     def marginal_gain(self, seeds, u):
-        """estimate(seeds + u) - estimate(seeds), read from the index.
+        """estimate(seeds + u) - estimate(seeds), read from the index."""
+        return self.marginal_gains(seeds, (u,))[0]
+
+    def marginal_gains(self, seeds, nodes):
+        """[marginal_gain(seeds, u) for u in nodes]: the seeds, their coverage
+        and the nodes are checked and looked up once for the whole batch.
 
         Bit-identical to computing the two estimates separately: in each world
         where u reaches targets the seeds miss, their units are added to the
         world's exact int, which is rounded once, so the world's value does not
         depend on how its covered set was accumulated. Worlds where u reaches
-        no target cost nothing.
+        no target cost nothing. A batch with a bad node raises before any
+        query is charged.
         """
         key = _canonical_seeds(seeds, self.graph.node_count)
-        u = self.graph.check_node(u)
-        if u in key:
-            raise ValueError(f"node {u} is already in the seed set")
-        self.evaluations += 1
-        row = self._rows[u]
+        nodes = _query_nodes(nodes, key, self.graph.node_count)
+        self.evaluations += len(nodes)
         _, uncovered, covered, vals, total = self._coverage(key)
-        units, scale = self._units, self._scale
-        new_vals = None
-        gained_units = {}  # u gains the same targets in many worlds
-        for p in compress(range(self.samples), row):
-            gained = row[p] & uncovered[p]
-            if gained:
-                if new_vals is None:
-                    new_vals = list(vals)
-                more = gained_units.get(gained)
-                if more is None:
-                    more = gained_units[gained] = sum(_bit_values(gained, units))
-                new_vals[p] = (covered[p] + more) / scale
-        if new_vals is None:
-            return 0.0
-        return math.fsum(new_vals) / self.samples - total
+        rows, units, scale, samples = self._rows, self._units, self._scale, self.samples
+        worlds = range(samples)
+        # the units of a gained mask depend on the mask alone, so one table
+        # serves every node of the batch: nodes gain the same targets in many worlds
+        gained_units = {}
+        gains = []
+        for u in nodes:
+            row = rows[u]
+            new_vals = None
+            for p in compress(worlds, row):
+                gained = row[p] & uncovered[p]
+                if gained:
+                    if new_vals is None:
+                        new_vals = list(vals)
+                    more = gained_units.get(gained)
+                    if more is None:
+                        more = gained_units[gained] = sum(_bit_values(gained, units))
+                    new_vals[p] = (covered[p] + more) / scale
+            gains.append(0.0 if new_vals is None else math.fsum(new_vals) / samples - total)
+        return gains
 
 
 # --- exact expectation ----------------------------------------------------------
@@ -409,10 +435,11 @@ class ExactBenefitOracle:
         return self._beta(key)
 
     def marginal_gain(self, seeds, u):
+        return self.marginal_gains(seeds, (u,))[0]
+
+    def marginal_gains(self, seeds, nodes):
         key = _canonical_seeds(seeds, self.graph.node_count)
-        u = self.graph.check_node(u)
-        if u in key:
-            raise ValueError(f"node {u} is already in the seed set")
-        self.evaluations += 1
-        joined = tuple(sorted(key + (u,)))
-        return self._beta(joined) - self._beta(key)
+        nodes = _query_nodes(nodes, key, self.graph.node_count)
+        self.evaluations += len(nodes)
+        base = self._beta(key)
+        return [self._beta(tuple(sorted(key + (u,)))) - base for u in nodes]

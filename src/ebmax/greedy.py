@@ -135,14 +135,12 @@ def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True)
     zero-gain nodes burns budget without benefit; pass
     ``stop_on_zero_gain=False`` for the literal always-spend loop.
     """
-    cost = economics.cost
+    cost = economics.cost.tolist()
 
     def pick(seeds, chosen, remaining):
+        nodes = [v for v in range(economics.node_count) if v not in chosen and cost[v] <= remaining]
         best = None
-        for v in range(economics.node_count):
-            if v in chosen or cost[v] > remaining:
-                continue
-            gain = estimator.marginal_gain(seeds, v)
+        for v, gain in zip(nodes, estimator.marginal_gains(seeds, nodes)):
             ratio = gain / cost[v]
             if best is None or ratio > best[1]:
                 best = (v, ratio, gain)
@@ -215,21 +213,20 @@ def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
     true ones, the committed sequence is identical to greedy_ratio_select on
     the same estimator, at a fraction of the evaluations.
     """
-    cost = economics.cost
+    cost = economics.cost.tolist()
     heap = []
     cached = {}  # node -> (ratio, gain, round computed); unaffordable nodes dropped
 
-    def refresh(seeds, v):
-        gain = estimator.marginal_gain(seeds, v)
+    def store(seeds, v, gain):
         ratio = gain / cost[v]
         cached[v] = (ratio, gain, len(seeds))
         return (-ratio, v)
 
     def pick(seeds, chosen, remaining):
         if not seeds:  # first round: only now is the seed set empty
-            heap.extend(
-                refresh(seeds, v) for v in range(economics.node_count) if cost[v] <= remaining
-            )
+            nodes = [v for v in range(economics.node_count) if cost[v] <= remaining]
+            gains = estimator.marginal_gains(seeds, nodes)
+            heap.extend(store(seeds, v, gain) for v, gain in zip(nodes, gains))
             heapq.heapify(heap)
         while heap:
             neg_ratio, v = heapq.heappop(heap)
@@ -243,7 +240,7 @@ def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
             ratio, gain, computed = entry
             if computed == len(seeds):
                 return v, ratio, gain
-            heapq.heappush(heap, refresh(seeds, v))
+            heapq.heappush(heap, store(seeds, v, estimator.marginal_gain(seeds, v)))
         return None
 
     return _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain)

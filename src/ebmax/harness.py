@@ -64,7 +64,7 @@ def derive_seed(master_seed, tag, index=0):
 class ExperimentConfig:
     graph_path: str
     directed: bool = False
-    probability: str = "uniform:0.1"  # or "trivalency"
+    probability: str = "uniform:0.1"  # or "trivalency", or "file" for the edge list's column
     economics: str = "random"  # or "degprop"
     target_fraction: float = 0.2
     budgets: tuple = ()
@@ -116,6 +116,10 @@ class ResultRow:
 
 
 def _parse_probability(text):
+    """(scheme, CSV code); the scheme is None for "file", whose probabilities
+    are the edge list's own."""
+    if text == "file":
+        return None, "F"
     if text == "trivalency":
         return TrivalencyProbability(), "T"
     if text.startswith("uniform:"):
@@ -127,7 +131,25 @@ def _parse_probability(text):
             return UniformProbability(p), "U"
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown probability setting {text!r} (use uniform:P or trivalency)")
+    raise ConfigError(f"unknown probability setting {text!r} (use uniform:P, trivalency or file)")
+
+
+def _check_file_probabilities(graph, setting):
+    """Under `--prob file` every edge must carry a probability; under any
+    other setting none may, since the setting would silently replace it.
+    The error names the first offending edge by its original ids."""
+    given = graph.prob > 0.0  # 0.0 marks an edge listed without one
+    bad = ~given if setting == "file" else given
+    if not bad.any():
+        return
+    a = int(np.argmax(bad))
+    edge = f"{graph.original_ids[graph.src[a]]} {graph.original_ids[graph.dst[a]]}"
+    if setting == "file":
+        raise ConfigError(f"--prob file: edge {edge} has no probability in the graph file")
+    raise ConfigError(
+        f"the graph file gives edge probabilities (edge {edge}), which --prob {setting} "
+        "would replace; pass --prob file to use them"
+    )
 
 
 def _parse_economics(text):
@@ -182,6 +204,7 @@ def run_experiment(config):
         raise ConfigError(f"cannot read graph file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad graph file: {exc}") from exc
+    _check_file_probabilities(graph, config.probability)
 
     if (
         "igaag" in config.algorithms
@@ -193,7 +216,8 @@ def run_experiment(config):
             "pass --allow-igaag-large to force it"
         )
 
-    graph = assign_probabilities(graph, prob_scheme, seed=derive_seed(config.master_seed, _TAG_PROB))
+    if prob_scheme is not None:
+        graph = assign_probabilities(graph, prob_scheme, seed=derive_seed(config.master_seed, _TAG_PROB))
     scheme = AssignmentScheme(
         cost=cost_scheme,
         benefit=benefit_scheme,

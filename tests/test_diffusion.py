@@ -250,6 +250,21 @@ class TestExactOracle:
         S, T, u = random_subset_triple(rng, g.node_count)
         assert oracle.marginal_gain(S, u) == oracle.estimate(sorted(set(S) | {u})) - oracle.estimate(S)
 
+    def test_batched_gains_with_sixteen_targets(self):
+        # 16 targets on a path that node 0 reaches: the widest batch the oracle allows
+        n = 16
+        g = make_graph(n, [(v, v + 1, 0.9 if v < 8 else 1.0) for v in range(n - 1)])
+        econ = make_economics(n, targets=list(range(n)), benefits={v: (v + 1) / 3 for v in range(n)})
+        oracle = ExactBenefitOracle(g, econ)
+        for seeds in ((), (3, 12)):
+            nodes = [v for v in range(n) if v not in seeds]
+            nodes += nodes[:3]
+            before = oracle.evaluations
+            gains = oracle.marginal_gains(seeds, nodes)
+            assert oracle.evaluations == before + len(nodes)
+            assert gains == [oracle.marginal_gain(seeds, v) for v in nodes]
+            assert gains == [oracle.estimate(sorted({*seeds, v})) - oracle.estimate(seeds) for v in nodes]
+
     def test_size_caps(self):
         g = make_graph(20, [(i, i + 1, 0.5) for i in range(17)])
         econ = make_economics(20, targets=[0])

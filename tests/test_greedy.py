@@ -258,6 +258,12 @@ class RecordingEstimator:
         self.calls.append(("marginal_gain", tuple(seeds), u))
         return self.inner.marginal_gain(seeds, u)
 
+    def marginal_gains(self, seeds, nodes):
+        # a batch is logged as one query per node, in order
+        nodes = list(nodes)
+        self.calls.extend(("marginal_gain", tuple(seeds), v) for v in nodes)
+        return self.inner.marginal_gains(seeds, nodes)
+
 
 class TestQuerySequence:
     def test_estimator_calls_are_pinned(self):

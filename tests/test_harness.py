@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import weakref
@@ -90,6 +91,18 @@ class TestRunExperiment:
         run_experiment(quick_config(small_graph_file, out1))
         run_experiment(quick_config(small_graph_file, out2))
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_golden_csv_digest(self, tmp_path):
+        # sha256 of this sweep's CSV, recorded before the greedy selectors asked
+        # for a round's gains in one batch: a change to the query order, the
+        # tie-breaking or eval_count changes the bytes
+        graph, out = tmp_path / "g.txt", tmp_path / "r.csv"
+        generate_synthetic("preferential", 150, 2, 3, str(graph))
+        assert cli_main(["run", "--graph", str(graph), "--prob", "trivalency", "--econ", "degprop",
+                         "--budgets", "5,15", "--algos", "igaag,igaip,hbh", "--samples", "40",
+                         "--seed", "7", "--reps", "2", "--no-timing", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "4d5f409230a3b055c58d1d8141555cb4a99bf9ce49a09e2275dc726aea7803ca"
 
     def test_unknown_algorithm_rejected(self, small_graph_file, tmp_path):
         config = quick_config(small_graph_file, str(tmp_path / "r.csv"), algorithms=("nope",))
@@ -543,4 +556,49 @@ class TestCli:
         ):
             assert cli_main(base + extra) == 2, extra
             assert named in capsys.readouterr().err, extra
+        assert not out.exists()
+
+    def test_prob_file_uses_the_edge_list_column(self, tmp_path):
+        # a directed 5-cycle at p=0.9: the column must count, not --prob's default
+        cycle = [(10 * i, 10 * ((i + 1) % 5)) for i in range(5)]
+        with_p, without_p = tmp_path / "with" / "cycle.txt", tmp_path / "without" / "cycle.txt"
+        for graph, column in ((with_p, " 0.9"), (without_p, "")):
+            graph.parent.mkdir()
+            graph.write_text("".join(f"{u} {v}{column}\n" for u, v in cycle))
+        # every cost is 1, so the budget buys one seed, and 2 of the 5 nodes are targets
+        base = ["--directed", "--econ", "degprop", "--target-frac", "0.4", "--budgets", "1",
+                "--algos", "igaip,maxdeg", "--samples", "50", "--reps", "2", "--seed", "3", "--no-timing"]
+        rows = {}
+        for graph, prob in ((with_p, "file"), (without_p, "uniform:0.9"), (without_p, "uniform:0.1")):
+            out = tmp_path / f"{prob}.csv"
+            assert cli_main(["run", "--graph", str(graph), "--prob", prob, "--out", str(out)] + base) == 0
+            rows[prob] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {r[2] for r in rows["file"]} == {"F"}
+        # the file's rows are the uniform:0.9 rows but for the setting code, and not the default's
+        assert [r[:2] + r[3:] for r in rows["file"]] == [r[:2] + r[3:] for r in rows["uniform:0.9"]]
+        assert [r[7] for r in rows["file"]] != [r[7] for r in rows["uniform:0.1"]]
+
+    def test_prob_file_edge_without_probability_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("10 20 0.5\n20 30\n30 10 0.5\n")
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--graph", str(graph), "--prob", "file", "--target-frac", "0.5",
+                         "--algos", "maxdeg", "--budgets", "5", "--samples", "5", "--reps", "1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--prob file: edge 20 30 has no probability" in err, err
+        assert not out.exists()
+
+    def test_file_probabilities_under_another_setting_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("10 20\n20 30 0.5\n")
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", str(graph), "--target-frac", "0.5", "--algos", "maxdeg",
+                "--budgets", "5", "--samples", "5", "--reps", "1", "--out", str(out)]
+        for extra, setting in (([], "uniform:0.1"), (["--prob", "trivalency"], "trivalency")):
+            assert cli_main(base + extra) == 2, extra
+            err = capsys.readouterr().err
+            assert f"(edge 20 30), which --prob {setting} would replace" in err, err
+            assert "--prob file" in err, err
         assert not out.exists()

@@ -9,14 +9,17 @@ world was indexed as it is drawn, and the adjacency-dict worlds
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ebmax.diffusion import (
     BenefitEstimator,
+    ExactBenefitOracle,
     _bit_values,
     _csr_worlds,
     _draw_worlds,
@@ -200,6 +203,73 @@ def test_gain_is_the_difference_of_two_estimates(instance, data):
     if rest:
         u = data.draw(st.sampled_from(rest))
         assert est.marginal_gain(seeds, u) == fresh.estimate(seeds + [u]) - fresh.estimate(seeds)
+
+
+@st.composite
+def wide_instances(draw):
+    """(graph, economics, samples, master seed): 16-24 nodes, 16 or more of
+    them targets, on a certain path 0 -> 1 -> ... -> n-1 plus up to 30 random
+    arcs. Node 0 reaches every target in every world, so its gain against
+    the empty set is read by `_bit_values` a byte at a time."""
+    n = draw(st.integers(16, 24))
+    path = {(v, v + 1) for v in range(n - 1)}
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in path]
+    arcs = sorted(path | draw(st.sets(st.sampled_from(pairs), max_size=30)))
+    graph = SocialGraph(n, [(u, v, 1.0 if (u, v) in path else draw(probabilities)) for u, v in arcs], True)
+    targets = sorted(draw(st.sets(st.integers(0, n - 1), min_size=16)))
+    benefit = np.zeros(n)
+    for t in targets:
+        benefit[t] = draw(benefits)
+    economics = NodeEconomics(cost=np.ones(n), benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
+    return graph, economics, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(st.one_of(instances(), wide_instances()), st.data())
+def test_batched_gains_are_the_single_gains(instance, data):
+    # on the estimator and, where its 2^m worlds are few, the exact oracle: a
+    # batch answers exactly what one query per node answers, and charges one
+    # evaluation per node
+    graph, economics, samples, seed = instance
+    n = graph.node_count
+
+    kinds = [lambda: BenefitEstimator(graph, economics, samples=samples, master_seed=seed)]
+    if graph.arc_count <= 10:
+        kinds.append(lambda: ExactBenefitOracle(graph, economics))
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    rest = [v for v in range(n) if v not in seeds]
+    nodes = data.draw(st.lists(st.sampled_from(rest), max_size=2 * n)) if rest else []
+    # every node twice against the empty set, the drawn batch (repeats
+    # allowed) against the drawn seeds, and an empty batch
+    for kind in kinds:
+        batched, single, fresh = kind(), kind(), kind()
+        for s, batch in (((), list(range(n)) * 2), (seeds, nodes), (seeds, [])):
+            before = batched.evaluations
+            gains = batched.marginal_gains(s, batch)
+            assert batched.evaluations == before + len(batch)
+            assert all(type(g) is float for g in gains)
+            assert gains == [single.marginal_gain(s, v) for v in batch]
+            assert gains == [fresh.estimate([*s, v]) - fresh.estimate(s) for v in batch]
+
+
+def test_a_bad_batch_raises_naming_the_node_and_charges_nothing():
+    graph, economics, samples, seed = TANGLED
+    for est in (
+        BenefitEstimator(graph, economics, samples=samples, master_seed=seed),
+        ExactBenefitOracle(graph, economics),
+    ):
+        for seeds, batch, named in (
+            ((1,), [0, 2, 1, 3], "node 1 is already in the seed set"),
+            ((), [0, 7], "node id 7 outside [0, 7)"),
+            ((2,), [-1, 0], "node id -1 outside [0, 7)"),
+            ((), [0, True], "node id True is not an integer"),
+            ((), [0, 2.0], "node id 2.0 is not an integer"),
+        ):
+            before = est.evaluations
+            with pytest.raises(ValueError, match=re.escape(named)):
+                est.marginal_gains(seeds, batch)
+            assert est.evaluations == before, named
+        # numpy integers are node ids like any other
+        assert est.marginal_gains((np.int64(0),), [np.int32(1), 2]) == est.marginal_gains((0,), [1, 2])
 
 
 @given(instances(), st.data())
