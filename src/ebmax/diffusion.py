@@ -273,6 +273,14 @@ class BenefitEstimator:
     for the gains of many nodes against one seed set in one batch, and then
     about that set plus the node they committed, whose coverage is extended in
     place.
+
+    On fixed worlds a gain is a pure function of (canonical seed set, node)
+    and an estimate of the canonical seed set, so every answer is memoized
+    for the estimator's lifetime: the budgets and selectors of a sweep share
+    one estimator, and each asks again much of what an earlier one asked. A
+    single seed's estimate is its gain against the empty set, bit for bit, so
+    the two share one table. `evaluations` still counts every query, hit or
+    not, so it stays the count of a run from scratch.
     """
 
     def __init__(self, graph, economics, samples=10000, master_seed=0):
@@ -288,6 +296,8 @@ class BenefitEstimator:
         self.evaluations = 0
         bits, self._units, self._scale = _target_bits(economics)
         self._last = None  # (key, uncovered masks, covered units, values, mean)
+        self._gains = {}  # canonical seeds -> {node: marginal gain}
+        self._estimates = {}  # canonical seeds of two or more -> mean benefit
         # node -> its target mask in every world
         worlds = _draw_worlds(graph, economics.targets, self.master_seed, self.samples)
         self._rows = list(zip(*(_target_masks(world, bits) for world in worlds)))
@@ -328,7 +338,13 @@ class BenefitEstimator:
         """Mean earned benefit of the seed set over the fixed worlds."""
         key = _canonical_seeds(seeds, self.graph.node_count)
         self.evaluations += 1
-        return self._coverage(key)[4]
+        if len(key) == 1:
+            # the total of the empty set is 0.0, so its gain table holds the same floats
+            return self._memo_gains((), key)[0]
+        mean = self._estimates.get(key)
+        if mean is None:
+            mean = self._estimates[key] = self._coverage(key)[4]
+        return mean
 
     def per_sample_benefits(self, seeds):
         """Per-world benefit values as a new array (for spread diagnostics)."""
@@ -341,18 +357,35 @@ class BenefitEstimator:
 
     def marginal_gains(self, seeds, nodes):
         """[marginal_gain(seeds, u) for u in nodes]: the seeds, their coverage
-        and the nodes are checked and looked up once for the whole batch.
+        and the nodes are checked and looked up once for the whole batch, and
+        only the gains not asked before are computed. A batch with a bad node
+        raises before any query is charged or stored.
+        """
+        key = _canonical_seeds(seeds, self.graph.node_count)
+        nodes = _query_nodes(nodes, key, self.graph.node_count)
+        self.evaluations += len(nodes)
+        return self._memo_gains(key, nodes)
+
+    def _memo_gains(self, key, nodes):
+        """The gains of checked `nodes` against the canonical `key`, each
+        computed once per estimator."""
+        known = self._gains.get(key)
+        if known is None:
+            known = self._gains[key] = {}
+        missing = [u for u in dict.fromkeys(nodes) if u not in known]
+        if missing:
+            known.update(zip(missing, self._fresh_gains(key, missing)))
+        return [known[u] for u in nodes]
+
+    def _fresh_gains(self, key, nodes):
+        """The gains of distinct nodes against `key`, computed from its coverage.
 
         Bit-identical to computing the two estimates separately: in each world
         where u reaches targets the seeds miss, their units are added to the
         world's exact int, which is rounded once, so the world's value does not
         depend on how its covered set was accumulated. Worlds where u reaches
-        no target cost nothing. A batch with a bad node raises before any
-        query is charged.
+        no target cost nothing.
         """
-        key = _canonical_seeds(seeds, self.graph.node_count)
-        nodes = _query_nodes(nodes, key, self.graph.node_count)
-        self.evaluations += len(nodes)
         _, uncovered, covered, vals, total = self._coverage(key)
         rows, units, scale, samples = self._rows, self._units, self._scale, self.samples
         worlds = range(samples)

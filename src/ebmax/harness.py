@@ -126,12 +126,12 @@ def _parse_probability(text):
         try:
             p = float(text.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad probability setting {text!r}") from None
+            raise ConfigError(f"bad probability setting --prob {text!r}") from None
         try:
             return UniformProbability(p), "U"
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown probability setting {text!r} (use uniform:P, trivalency or file)")
+            raise ConfigError(f"--prob {text!r}: {exc}") from None
+    raise ConfigError(f"unknown probability setting --prob {text!r} (use uniform:P, trivalency or file)")
 
 
 def _check_file_probabilities(graph, setting):
@@ -163,22 +163,22 @@ def _parse_economics(text):
 def _validate(config):
     for name in config.algorithms:
         if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")
+            raise ConfigError(f"unknown algorithm {name!r} in --algos (choose from {', '.join(ALGORITHMS)})")
     for flag, values in (("--algos", config.algorithms), ("--budgets", config.budgets)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError(f"{flag} lists {repeated[0]!r} more than once")
     if not config.algorithms:
-        raise ConfigError("no algorithms requested")
+        raise ConfigError("--algos names no algorithm")
     if config.samples < 1:
-        raise ConfigError("sample count must be at least 1")
+        raise ConfigError(f"sample count (--samples) must be at least 1, got {config.samples}")
     if config.repetitions < 1:
-        raise ConfigError("repetitions must be at least 1")
+        raise ConfigError(f"repetitions (--reps) must be at least 1, got {config.repetitions}")
     if not (0.0 < config.target_fraction <= 1.0):
-        raise ConfigError("target fraction must lie in (0, 1]")
+        raise ConfigError(f"target fraction (--target-frac) must lie in (0, 1], got {config.target_fraction}")
     for b in config.budgets:
         if not (b > 0 and math.isfinite(b)):
-            raise ConfigError(f"budgets must be positive and finite, got {b}")
+            raise ConfigError(f"--budgets must be positive and finite, got {b}")
     if config.master_seed < 0:
         raise ConfigError(f"master seed (--seed) must be non-negative, got {config.master_seed}")
 
@@ -196,7 +196,7 @@ def run_experiment(config):
     try:
         hop_config = hop.HopConfig(hops=config.hops, cutoff=config.cutoff)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"--hop {config.hops}, --alpha {config.cutoff}: {exc}") from None
 
     try:
         graph = load_edge_list(config.graph_path, directed=config.directed)

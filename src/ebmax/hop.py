@@ -22,9 +22,14 @@ import numpy as np
 from .greedy import fill_by_rank
 
 
+# each hop adds two frames to the walk's recursion, which must stay well
+# inside the interpreter's default limit of 1000 frames
+MAX_HOPS = 100
+
+
 def _check_hops(hops):
-    if isinstance(hops, bool) or not isinstance(hops, numbers.Integral) or hops < 1:
-        raise ValueError(f"hop count must be an integer of at least 1, got {hops!r}")
+    if isinstance(hops, bool) or not isinstance(hops, numbers.Integral) or not 1 <= hops <= MAX_HOPS:
+        raise ValueError(f"hop count must be an integer in [1, {MAX_HOPS}], got {hops!r}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class HopConfig:
     def __post_init__(self):
         _check_hops(self.hops)
         if not (0.0 <= self.cutoff <= 1.0):
-            raise ValueError("cutoff probability must lie in [0, 1]")
+            raise ValueError(f"cutoff probability must lie in [0, 1], got {self.cutoff}")
 
 
 @dataclass

@@ -239,6 +239,37 @@ class TestApproximationBound:
             assert res.estimated_benefit >= 0.3935 * opt - 1e-12
 
 
+class TestSweepMemo:
+    def test_a_sweep_on_one_estimator_equals_fresh_runs(self, monkeypatch):
+        # the budgets and selectors of a sweep share one estimator: its memo
+        # must change no result, and a selection asked again computes nothing
+        computed = []
+        for name in ("_fresh_gains", "_coverage"):
+            real = getattr(BenefitEstimator, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                computed.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(BenefitEstimator, name, counted)
+        rng = np.random.default_rng(84)
+        for _ in range(10):
+            g, econ = random_instance(rng, max_nodes=10, max_arcs=16)
+            seed = int(rng.integers(1 << 30))
+            b1 = float(rng.uniform(1, 6))
+            b2 = b1 + float(rng.uniform(1, 6))
+            shared = BenefitEstimator(g, econ, samples=64, master_seed=seed)
+            for repeat, budget in enumerate((b2, b1, b2)):
+                for select in (modified_greedy_select, lazy_greedy_select):
+                    fresh = BenefitEstimator(g, econ, samples=64, master_seed=seed)
+                    expected = select(fresh, econ, budget)
+                    computed.clear()
+                    assert select(shared, econ, budget) == expected, (select.__name__, budget)
+                    # lazy greedy asks a subset of what eager greedy at the same budget asked
+                    if repeat == 2 or select is lazy_greedy_select:
+                        assert computed == [], (select.__name__, budget)
+
+
 class RecordingEstimator:
     """Estimator wrapper that logs every query as (method, seeds, node)."""
 

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ebmax import harness
 from ebmax.cli import main as cli_main
@@ -601,4 +605,112 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"(edge 20 30), which --prob {setting} would replace" in err, err
             assert "--prob file" in err, err
+        assert not out.exists()
+
+    def test_hop_count_beyond_the_limit_exit_code(self, tmp_path, capsys):
+        # each hop is two frames of the walk's recursion: a hop count of a
+        # million overflowed the stack on a graph with cycles and exited 3
+        graph = str(tmp_path / "g.txt")
+        cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
+                  "--seed", "0", "--out", graph])
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", graph, "--algos", "hbh", "--budgets", "5", "--samples", "4",
+                "--reps", "1", "--out", str(out)]
+        for hops in ("101", "1000000"):
+            assert cli_main(base + ["--hop", hops]) == 2, hops
+            err = capsys.readouterr().err
+            assert f"--hop {hops}" in err and "[1, 100]" in err, err
+            assert not out.exists()
+        assert cli_main(base + ["--hop", "100"]) == 0
+        assert out.exists()
+
+    def test_rejections_name_the_flag(self, tmp_path, capsys):
+        # these were rejected with messages that named neither the flag nor the value
+        graph = str(tmp_path / "g.txt")
+        cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
+                  "--seed", "0", "--out", graph])
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", graph, "--algos", "maxdeg", "--budgets", "5", "--samples", "4",
+                "--reps", "1", "--out", str(out)]
+        for flag, value, named in (
+            ("--samples", "0", "(--samples) must be at least 1, got 0"),
+            ("--reps", "-2", "(--reps) must be at least 1, got -2"),
+            ("--target-frac", "nan", "(--target-frac) must lie in (0, 1], got nan"),
+            ("--algos", ",", "--algos names no algorithm"),
+            ("--prob", "uniform:2", "--prob 'uniform:2': uniform probability must lie in (0, 1]"),
+            ("--prob", "", "unknown probability setting --prob ''"),
+            ("--alpha", "nan", "--alpha nan: cutoff probability must lie in [0, 1], got nan"),
+            ("--budgets", "5,nan", "--budgets must be positive and finite, got nan"),
+        ):
+            assert cli_main(base + [f"{flag}={value}"]) == 2, flag
+            err = capsys.readouterr().err
+            assert named in err, err
+            assert not out.exists()
+
+
+def run_cli(argv):
+    """(exit code, standard error) of one `ebmax` call; argparse rejects a
+    value by raising SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _values(*given_values, digits=True):
+    """Strategy of flag values: the given ones, or short text of the
+    characters numbers and lists are made of (without digits, for a flag whose
+    large valid values would make a long run)."""
+    alphabet = "0123456789.,:-+eEinfa x" if digits else ".,:-+eEinfa x"
+    return st.one_of(st.sampled_from(given_values), st.text(alphabet=alphabet, max_size=8))
+
+
+_floats = st.floats().map(repr)
+BAD_VALUES = {
+    "--budgets": st.one_of(
+        _floats,
+        st.lists(st.floats(), min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs))),
+        _values("0", "-1", "1e400", "5,5", "5,,5", ",", "0x10", "five"),
+    ),
+    "--samples": st.one_of(st.integers(max_value=0).map(str), _values("1.5", "1e3", "", "4,4", digits=False)),
+    "--reps": st.one_of(st.integers(max_value=0).map(str), _values("1.5", "1e3", "", "1,1", digits=False)),
+    "--hop": st.one_of(st.integers().map(str), _values("2.0", "", "1e6")),
+    "--alpha": st.one_of(_floats, _values("", "0.1,0.2", "1e-400")),
+    "--target-frac": st.one_of(_floats, _values("", "1e-300", "0,5")),
+    "--prob": _values(
+        "", "file", "uniform:", "uniform:0", "uniform:-0.1", "uniform:2", "uniform:nan", "uniform:inf",
+        "uniform:1e-400", "uniform:0.1:2", "trivalency:1", "lognormal", "UNIFORM:0.1",
+    ),
+    "--algos": _values("", ",", "nope", "igaag,igaag", "IGAAG", "hbh,,maxdeg", " hbh ", "hbh,nope"),
+    "--seed": st.one_of(st.integers(max_value=2**80).map(str), _values("", "1.5", "-0", "1e3")),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_graph(tmp_path_factory):
+    """A 20-node random graph with cycles, and a path for the output."""
+    folder = tmp_path_factory.mktemp("cli")
+    graph = str(folder / "g.txt")
+    assert cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3", "--seed", "0",
+                     "--out", graph]) == 0
+    return graph, folder / "r.csv"
+
+
+@given(st.sampled_from(sorted(BAD_VALUES)).flatmap(lambda flag: st.tuples(st.just(flag), BAD_VALUES[flag])))
+def test_cli_bad_values_exit_2_naming_the_flag_or_value(cli_graph, case):
+    # one generated value per run for one flag: the run either succeeds or is
+    # refused as a configuration error before it writes a CSV, never a runtime failure
+    flag, value = case
+    graph, out = cli_graph
+    if out.exists():
+        out.unlink()
+    args = {"--budgets": "5", "--algos": "igaip,hbh", "--samples": "4", "--reps": "1", flag: value}
+    argv = ["run", "--graph", graph, "--out", str(out)] + [f"{k}={v}" for k, v in args.items()]
+    code, err = run_cli(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert flag in err or (value.strip() and value in err), (argv, err)
         assert not out.exists()

@@ -206,6 +206,93 @@ def test_gain_is_the_difference_of_two_estimates(instance, data):
 
 
 @st.composite
+def queries(draw, order):
+    """One estimator call (method, seeds, *node args) on the nodes of the
+    permutation `order`. The seeds are often empty, one node or a prefix of
+    `order` (the nested sets greedy asks about, whose gains differ where
+    reaches overlap), in any order and sometimes with repeats; the nodes are
+    unsorted, with repeats. About one gain query in five names a node that
+    makes it raise."""
+    n = len(order)
+    kind = draw(st.sampled_from(["estimate", "marginal_gain", "marginal_gains"]))
+    seeds = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=1),
+            st.integers(0, n).flatmap(lambda k: st.permutations(order[:k])),
+            st.lists(st.integers(0, n - 1)),
+        )
+    )
+    if kind == "estimate":
+        return (kind, seeds)
+    rest = [v for v in range(n) if v not in seeds]
+    bad = st.sampled_from([-1, n, *seeds])  # out of range, or already a seed
+    if rest and draw(st.integers(0, 4)):
+        good = st.sampled_from(rest)
+    else:
+        good = bad
+    if kind == "marginal_gain":
+        return (kind, seeds, draw(good))
+    nodes = draw(st.lists(good, max_size=2 * n))
+    if not rest or not draw(st.integers(0, 4)):
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(bad))
+    return (kind, seeds, nodes)
+
+
+def _exact(answer):
+    """The answer's floats as hex strings, so that equal means bit for bit."""
+    answers = answer if isinstance(answer, list) else [answer]
+    assert all(type(x) is float for x in answers)
+    return [x.hex() for x in answers]
+
+
+@given(instances(), st.data())
+def test_memoized_answers_are_the_answers_of_a_fresh_estimator(instance, data):
+    # one estimator answers a sequence of calls, repeats included, from its
+    # memo; each answer and its charge must be those of the call on a fresh one
+    graph, economics, samples, seed = instance
+    n = graph.node_count
+
+    def fresh():
+        return BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
+
+    def ask(est, call):
+        kind, *args = call
+        return getattr(est, kind)(*args)
+
+    def memo(est):
+        return {k: dict(v) for k, v in est._gains.items()}, dict(est._estimates)
+
+    est = fresh()
+    order = data.draw(st.permutations(range(n)))
+    asked = []
+    for _ in range(data.draw(st.integers(1, 20))):
+        if asked and data.draw(st.booleans()):
+            call = data.draw(st.sampled_from(asked))
+        else:
+            call = data.draw(queries(order))
+            asked.append(call)
+        before, stored = est.evaluations, memo(est)
+        reference = fresh()
+        try:
+            expected = ask(reference, call)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ask(est, call)
+            assert est.evaluations == before and memo(est) == stored, call
+            continue
+        assert _exact(ask(est, call)) == _exact(expected), call
+        charged = len(call[2]) if call[0] == "marginal_gains" else 1
+        assert est.evaluations - before == reference.evaluations == charged, call
+    # a single seed's estimate is its gain against the empty set, and the
+    # mean of its coverage's per-world values, bit for bit
+    for v in range(n):
+        single = _exact(est.estimate((v,)))
+        assert single == _exact(fresh().marginal_gains((), [v])[0])
+        assert single == _exact(math.fsum(fresh().per_sample_benefits((v,)).tolist()) / samples)
+
+
+@st.composite
 def wide_instances(draw):
     """(graph, economics, samples, master seed): 16-24 nodes, 16 or more of
     them targets, on a certain path 0 -> 1 -> ... -> n-1 plus up to 30 random
