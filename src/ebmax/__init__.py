@@ -9,7 +9,7 @@ from .baselines import (
     max_degree_select,
     single_discount_select,
 )
-from .diffusion import BenefitEstimator, ExactBenefitOracle
+from .diffusion import BenefitEstimator
 from .graph import (
     AssignmentScheme,
     DegreeProportionalCosts,
@@ -24,7 +24,6 @@ from .graph import (
     assign_economics,
     assign_probabilities,
     load_edge_list,
-    save_edge_list,
 )
 from .greedy import (
     SelectionResult,
@@ -40,14 +39,12 @@ from .hop import (
     ScoreTable,
     compute_scores,
     hop_based_select,
-    influence_probability,
 )
 
 __all__ = [
     "AssignmentScheme",
     "BenefitEstimator",
     "DegreeProportionalCosts",
-    "ExactBenefitOracle",
     "ExperimentConfig",
     "GraphParseError",
     "HopConfig",
@@ -70,11 +67,9 @@ __all__ = [
     "generate_synthetic",
     "greedy_ratio_select",
     "hop_based_select",
-    "influence_probability",
     "lazy_greedy_select",
     "load_edge_list",
     "max_degree_select",
     "modified_greedy_select",
     "run_experiment",
-    "save_edge_list",
 ]

@@ -1,4 +1,4 @@
-"""Live-edge worlds, and the Monte Carlo and exact expectations of earned benefit.
+"""Live-edge worlds, and the Monte Carlo expectation of earned benefit.
 
 An estimator draws a fixed set of live-edge worlds once and reuses it for
 every query. On a fixed set of worlds the estimate is a coverage function, so
@@ -15,10 +15,10 @@ world as it is drawn and keeps only the masks, never the worlds.
 
 A world is a CSR layout of its live arcs only (`_csr_worlds`), built in numpy
 a chunk of worlds at a time; an arc into a non-target node with no live
-out-arc changes no mask and is dropped. The exact oracle for tiny graphs
-runs the same builder and kernel: it enumerates every live-arc subset as a
-world, weighted by its probability, and reads each node's target mask from
-the same per-world pass.
+out-arc changes no mask and is dropped. The test suite's exact oracle for
+tiny graphs runs the same builder and kernel: it enumerates every live-arc
+subset as a world, weighted by its probability, and reads each node's target
+mask from the same per-world pass.
 """
 
 from __future__ import annotations
@@ -408,71 +408,3 @@ class BenefitEstimator:
             gains.append(0.0 if new_vals is None else math.fsum(new_vals) / samples - total)
         return gains
 
-
-# --- exact expectation ----------------------------------------------------------
-
-class ExactBenefitOracle:
-    """Exact expected earned benefit for tiny graphs, with the estimator interface.
-
-    Every one of the 2^m live-arc subsets is a world, weighted by its
-    probability (the product, in arc order, of p for a kept arc and 1 - p for
-    a dropped one); the weighted sum over all worlds is the exact
-    independent-cascade expectation (Kempe, Kleinberg & Tardos, KDD 2003).
-    All 2^m worlds are built in one batch and searched by the estimator's own
-    code (`_csr_worlds`, `_target_masks`), so the oracle and the estimator
-    share one world layout and one coverage kernel. A query ORs its seeds' target masks in every
-    world, reads each world's benefit from a table indexed by target mask and
-    reduces the probability-weighted values with ``fsum``.
-    """
-
-    MAX_ARCS = 16
-    MAX_NODES = 16
-
-    def __init__(self, graph, economics):
-        m = graph.arc_count
-        n = graph.node_count
-        if m > self.MAX_ARCS or n > self.MAX_NODES:
-            raise ValueError(f"oracle limited to {self.MAX_NODES} nodes / {self.MAX_ARCS} arcs")
-        if economics.node_count != n:
-            raise ValueError("economics sized for a different graph")
-        graph.require_probabilities()
-        self.graph = graph
-        self.economics = economics
-        self.evaluations = 0
-        self._memo = {}
-
-        subsets = np.arange(1 << m, dtype=np.int64)
-        keep = ((subsets[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(bool)
-        pr = np.ones(len(subsets), dtype=np.float64)
-        for a, p in enumerate(graph.prob.tolist()):
-            pr *= np.where(keep[:, a], p, 1.0 - p)
-        self._pr = pr
-
-        bits, units, scale = _target_bits(economics)
-        worlds = _csr_worlds(keep, graph, economics.targets)
-        self._masks = np.array([_target_masks(world, bits) for world in worlds], dtype=np.int64)
-        self._benefit_by_mask = np.array(
-            [sum(_bit_values(mask, units)) / scale for mask in range(1 << len(units))], dtype=np.float64
-        )
-
-    def _beta(self, key):
-        got = self._memo.get(key)
-        if got is None:
-            cover = np.bitwise_or.reduce(self._masks[:, list(key)], axis=1)
-            got = self._memo[key] = math.fsum((self._pr * self._benefit_by_mask[cover]).tolist())
-        return got
-
-    def estimate(self, seeds):
-        key = _canonical_seeds(seeds, self.graph.node_count)
-        self.evaluations += 1
-        return self._beta(key)
-
-    def marginal_gain(self, seeds, u):
-        return self.marginal_gains(seeds, (u,))[0]
-
-    def marginal_gains(self, seeds, nodes):
-        key = _canonical_seeds(seeds, self.graph.node_count)
-        nodes = _query_nodes(nodes, key, self.graph.node_count)
-        self.evaluations += len(nodes)
-        base = self._beta(key)
-        return [self._beta(tuple(sorted(key + (u,)))) - base for u in nodes]

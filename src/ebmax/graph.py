@@ -121,12 +121,6 @@ class SocialGraph:
         if not self.probabilities_assigned:
             raise ValueError("graph has arcs without assigned probabilities; run assign_probabilities first")
 
-    def check_node(self, u):
-        u = as_node_id(u)
-        if not (0 <= u < self.node_count):
-            raise ValueError(f"node id {u} outside [0, {self.node_count})")
-        return u
-
     def with_probabilities(self, prob):
         """Copy of this graph with the given per-arc probabilities. The copy
         shares every other array and both arc indexes with this graph."""
@@ -328,32 +322,6 @@ def load_edge_list(source, directed=True):
         if not directed:
             arcs.append((dv, du, pv))
     return SocialGraph(len(ids), arcs, directed, original_ids=np.asarray(ids, dtype=np.int64))
-
-
-def save_edge_list(graph, target):
-    """Write the graph back out in loadable edge-list form.
-
-    One line per input edge (undirected pairs collapse back to one line),
-    original ids, probabilities at 17 significant digits. Arcs still carrying
-    the unassigned sentinel are written without a probability column.
-    """
-    def _write(handle):
-        step = 1 if graph.directed else 2
-        orig = graph.original_ids
-        for a in range(0, graph.arc_count, step):
-            u = orig[int(graph.src[a])]
-            v = orig[int(graph.dst[a])]
-            p = float(graph.prob[a])
-            if p > 0.0:
-                handle.write(f"{u} {v} {p:.17g}\n")
-            else:
-                handle.write(f"{u} {v}\n")
-
-    if hasattr(target, "write"):
-        _write(target)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            _write(handle)
 
 
 # --- assignment operations ----------------------------------------------------

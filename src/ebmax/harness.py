@@ -15,7 +15,7 @@ import contextlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -337,35 +337,6 @@ def write_csv(rows, path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def parse_csv(path):
-    """Read a results CSV back into ResultRow objects (round-trip helper)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in handle:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 11:
-                raise ValueError(f"bad CSV row: {line!r}")
-            rows.append(
-                ResultRow(
-                    dataset=parts[0],
-                    algorithm=parts[1],
-                    prob_setting=parts[2],
-                    cost_setting=parts[3],
-                    budget=float(parts[4]),
-                    seed_count=int(parts[5]),
-                    spent=float(parts[6]),
-                    benefit_mean=float(parts[7]),
-                    benefit_std=float(parts[8]),
-                    eval_count=int(parts[9]),
-                    seconds=float(parts[10]),
-                )
-            )
-    return rows
 
 
 # --- synthetic graphs -----------------------------------------------------------

@@ -103,21 +103,6 @@ def _walk_influence(in_arcs, target, hops, first):
     return result
 
 
-def influence_probability(graph, source, target, hops):
-    """Hop-bounded probability that `source` influences `target`.
-
-    Returns 0.0 when the source lies outside the reverse hop neighborhood,
-    and 1.0 when the source is the target: a seed earns its own benefit.
-    """
-    _check_hops(hops)
-    graph.require_probabilities()
-    source = graph.check_node(source)
-    target = graph.check_node(target)
-    if source == target:
-        return 1.0
-    return _walk_influence(_in_arcs(graph), target, hops, {}).get(source, 0.0)
-
-
 def compute_scores(graph, economics, config):
     """Expected earned benefit of every node, cost-scaled.
 

@@ -7,9 +7,20 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ebmax.baselines import _base_degree
-from ebmax.diffusion import _canonical_seeds, _sample_rows, _sample_stride, _union
+from ebmax.diffusion import (
+    _bit_values,
+    _canonical_seeds,
+    _csr_worlds,
+    _query_nodes,
+    _sample_rows,
+    _sample_stride,
+    _target_bits,
+    _target_masks,
+    _union,
+)
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
+from ebmax.hop import _check_hops, _in_arcs, _walk_influence
 
 
 def make_graph(n, arcs, directed=True):
@@ -365,3 +376,116 @@ def tangled_instances(draw, max_nodes=7, max_pairs=10):
     cost = np.array([draw(st.floats(0.5, 5.0)) for _ in range(n)])
     economics = NodeEconomics(cost=cost, benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
     return SocialGraph(n, arcs, True), economics
+
+
+# --- exact and hop-bounded references on the production kernels ---------------
+# Test-only: no pipeline path runs these. Each calls the production kernels,
+# imported privately, so a comparison with it checks those kernels.
+
+
+class ExactBenefitOracle:
+    """Exact expected earned benefit for tiny graphs, with the estimator interface.
+
+    Every one of the 2^m live-arc subsets is a world, weighted by its
+    probability (the product, in arc order, of p for a kept arc and 1 - p for
+    a dropped one); the weighted sum over all worlds is the exact
+    independent-cascade expectation (Kempe, Kleinberg & Tardos, KDD 2003).
+    All 2^m worlds are built in one batch and searched by the estimator's own
+    code (`_csr_worlds`, `_target_masks`), so the oracle is a check on the
+    production world layout and coverage kernel. A query ORs its seeds' target
+    masks in every world, reads each world's benefit from a table indexed by
+    target mask and reduces the probability-weighted values with ``fsum``.
+    """
+
+    MAX_ARCS = 16
+    MAX_NODES = 16
+
+    def __init__(self, graph, economics):
+        m = graph.arc_count
+        n = graph.node_count
+        if m > self.MAX_ARCS or n > self.MAX_NODES:
+            raise ValueError(f"oracle limited to {self.MAX_NODES} nodes / {self.MAX_ARCS} arcs")
+        if economics.node_count != n:
+            raise ValueError("economics sized for a different graph")
+        graph.require_probabilities()
+        self.graph = graph
+        self.economics = economics
+        self.evaluations = 0
+        self._memo = {}
+
+        subsets = np.arange(1 << m, dtype=np.int64)
+        keep = ((subsets[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(bool)
+        pr = np.ones(len(subsets), dtype=np.float64)
+        for a, p in enumerate(graph.prob.tolist()):
+            pr *= np.where(keep[:, a], p, 1.0 - p)
+        self._pr = pr
+
+        bits, units, scale = _target_bits(economics)
+        worlds = _csr_worlds(keep, graph, economics.targets)
+        self._masks = np.array([_target_masks(world, bits) for world in worlds], dtype=np.int64)
+        self._benefit_by_mask = np.array(
+            [sum(_bit_values(mask, units)) / scale for mask in range(1 << len(units))], dtype=np.float64
+        )
+
+    def _beta(self, key):
+        got = self._memo.get(key)
+        if got is None:
+            cover = np.bitwise_or.reduce(self._masks[:, list(key)], axis=1)
+            got = self._memo[key] = math.fsum((self._pr * self._benefit_by_mask[cover]).tolist())
+        return got
+
+    def estimate(self, seeds):
+        key = _canonical_seeds(seeds, self.graph.node_count)
+        self.evaluations += 1
+        return self._beta(key)
+
+    def marginal_gain(self, seeds, u):
+        return self.marginal_gains(seeds, (u,))[0]
+
+    def marginal_gains(self, seeds, nodes):
+        key = _canonical_seeds(seeds, self.graph.node_count)
+        nodes = _query_nodes(nodes, key, self.graph.node_count)
+        self.evaluations += len(nodes)
+        base = self._beta(key)
+        return [self._beta(tuple(sorted(key + (u,)))) - base for u in nodes]
+
+
+def influence_probability(graph, source, target, hops):
+    """Hop-bounded probability that `source` influences `target`, from the
+    production walk (`hop._walk_influence`) for this one target.
+
+    Returns 0.0 when the source lies outside the reverse hop neighborhood,
+    and 1.0 when the source is the target: a seed earns its own benefit.
+    """
+    _check_hops(hops)
+    graph.require_probabilities()
+    source, target = _query_nodes((source, target), (), graph.node_count)
+    if source == target:
+        return 1.0
+    return _walk_influence(_in_arcs(graph), target, hops, {}).get(source, 0.0)
+
+
+def save_edge_list(graph, target):
+    """Write the graph back out in loadable edge-list form.
+
+    One line per input edge (undirected pairs collapse back to one line),
+    original ids, probabilities at 17 significant digits. Arcs still carrying
+    the unassigned sentinel are written without a probability column.
+    """
+    def _write(handle):
+        step = 1 if graph.directed else 2
+        orig = graph.original_ids
+        for a in range(0, graph.arc_count, step):
+            u = orig[int(graph.src[a])]
+            v = orig[int(graph.dst[a])]
+            p = float(graph.prob[a])
+            if p > 0.0:
+                handle.write(f"{u} {v} {p:.17g}\n")
+            else:
+                handle.write(f"{u} {v}\n")
+
+    if hasattr(target, "write"):
+        _write(target)
+    else:
+        with open(target, "w", encoding="utf-8") as handle:
+            _write(handle)

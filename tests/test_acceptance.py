@@ -9,13 +9,14 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ebmax.baselines import max_degree_select
 from ebmax.cli import main as cli_main
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle
+from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
     AssignmentScheme,
     UniformProbability,
@@ -29,9 +30,11 @@ from ebmax.greedy import (
     modified_greedy_select,
 )
 from ebmax.harness import derive_seed, generate_synthetic
-from ebmax.hop import HopConfig, compute_scores, hop_based_select, influence_probability
+from ebmax.hop import HopConfig, compute_scores, hop_based_select
 
 from helpers import (
+    ExactBenefitOracle,
+    influence_probability,
     isolated_vs_clique_instance,
     make_economics,
     make_graph,
@@ -263,5 +266,5 @@ def test_criterion_9_harness_determinism(tmp_path):
                 capture_output=True,
             )
             assert proc.returncode == 0, proc.stderr.decode()
-            outputs[tag] = open(out, "rb").read()
+            outputs[tag] = Path(out).read_bytes()
         assert outputs["a"] == outputs["b"], "rerun changed the CSV"

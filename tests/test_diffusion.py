@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle, _draw_worlds, _target_masks
+from ebmax.diffusion import BenefitEstimator, _draw_worlds, _target_masks
 
 from helpers import (
+    ExactBenefitOracle,
     make_economics,
     make_graph,
     random_instance,

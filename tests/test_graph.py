@@ -20,10 +20,9 @@ from ebmax.graph import (
     assign_economics,
     assign_probabilities,
     load_edge_list,
-    save_edge_list,
 )
 
-from helpers import make_graph, tangled_instances
+from helpers import make_graph, save_edge_list, tangled_instances
 
 
 def load_text(text, directed=True):

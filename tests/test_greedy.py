@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle
+from ebmax.diffusion import BenefitEstimator
 from ebmax.greedy import (
     best_single_node,
     greedy_ratio_select,
@@ -12,6 +12,7 @@ from ebmax.greedy import (
 )
 
 from helpers import (
+    ExactBenefitOracle,
     isolated_vs_clique_instance,
     make_economics,
     make_graph,

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax.diffusion import BenefitEstimator, ExactBenefitOracle
+from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.hop import (
     HopConfig,
     compute_scores,
     hop_based_select,
-    influence_probability,
 )
 
 from helpers import (
+    ExactBenefitOracle,
+    influence_probability,
     make_economics,
     make_graph,
     random_instance,

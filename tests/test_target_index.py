@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from ebmax.diffusion import (
     BenefitEstimator,
-    ExactBenefitOracle,
     _bit_values,
     _csr_worlds,
     _draw_worlds,
@@ -30,6 +29,7 @@ from ebmax.diffusion import (
 from ebmax.graph import NodeEconomics, SocialGraph
 
 from helpers import (
+    ExactBenefitOracle,
     _build_adjacency,
     _reach,
     make_economics,
