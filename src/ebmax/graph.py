@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -13,6 +14,8 @@ import numpy as np
 MIN_COST = 1e-6
 
 _MAX_NODE_ID = np.iinfo(np.int64).max  # original ids are kept as int64
+# the most distinct ids whose edge keys `u * n + v` stay within int64
+_MAX_KEY_NODES = math.isqrt(_MAX_NODE_ID)
 
 
 def as_node_id(value):
@@ -39,14 +42,20 @@ def _arc_index(keys, n):
     which score accumulation relies on."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    return offsets, np.argsort(keys, kind="stable")
+    m = len(keys)
+    if n * m > _MAX_NODE_ID:  # the composite keys below would overflow int64
+        return offsets, np.argsort(keys, kind="stable")
+    # arcs sorted by (key, arc id) through one plain sort of distinct composite
+    # keys, several times faster than a stable argsort
+    return offsets, np.sort(keys * m + np.arange(m)) % m
 
 
 class SocialGraph:
     """Immutable directed graph whose arcs carry influence probabilities.
 
     Node ids are dense integers in [0, n). The arcs are the numpy arrays
-    `src`, `dst` and `prob`, indexed per direction by `out_csr` and `in_csr`:
+    `src`, `dst` and `prob`, built from the three equal-length columns the
+    constructor takes, and indexed per direction by `out_csr` and `in_csr`:
     each is an `(offsets, arcs)` pair of int64 arrays, so that
     `arcs[offsets[v]:offsets[v + 1]]` are the ids of v's out- (in-) arcs in
     input order. An undirected input edge is stored as two adjacent opposing
@@ -55,17 +64,21 @@ class SocialGraph:
     every arc has a probability in (0, 1].
     """
 
-    def __init__(self, node_count, arcs, directed=True, *, original_ids=None):
+    def __init__(self, node_count, src, dst, prob, directed=True, *, original_ids=None):
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
         self.node_count = int(node_count)
         self.directed = bool(directed)
 
-        arcs = list(arcs)
-        m = len(arcs)
-        self.src = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=m)
-        self.dst = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=m)
-        self.prob = np.fromiter((a[2] for a in arcs), dtype=np.float64, count=m)
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.prob = np.asarray(prob, dtype=np.float64)
+        if not (
+            self.src.ndim == self.dst.ndim == self.prob.ndim == 1
+            and len(self.src) == len(self.dst) == len(self.prob)
+        ):
+            raise ValueError("src, dst and prob must be 1-D arrays of equal length")
+        m = len(self.src)
 
         if m:
             bad = (self.src < 0) | (self.src >= node_count) | (self.dst < 0) | (self.dst >= node_count)
@@ -259,69 +272,122 @@ class AssignmentScheme:
 
 # --- loading and serialization ----------------------------------------------
 
-def _parse_lines(lines, directed):
-    """Collect deduplicated (orig_u, orig_v, prob_or_None); duplicates keep the last occurrence."""
-    entries = {}  # key -> (position_of_last_occurrence, u, v, prob)
-    counter = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise GraphParseError(f"expected 'src dst [prob]', got {line!r}", line_no)
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"node ids must be integers, got {line!r}", line_no) from None
-        if u < 0 or v < 0:
-            raise GraphParseError(f"node ids must be non-negative, got {line!r}", line_no)
-        if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
-            raise GraphParseError(f"node id {max(u, v)} exceeds the int64 range", line_no)
-        if u == v:
-            raise GraphParseError(f"self-loop on node {u} rejected", line_no)
-        p = None
-        if len(parts) == 3:
-            try:
-                p = float(parts[2])
-            except ValueError:
-                raise GraphParseError(f"probability must be a number, got {parts[2]!r}", line_no) from None
-            if not (0.0 < p <= 1.0):
-                raise GraphParseError(f"probability {p} outside (0, 1]", line_no)
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in entries:
-            warnings.warn(f"duplicate edge {u}->{v} at line {line_no}; keeping the last occurrence")
-        entries[key] = (counter, u, v, p)
-        counter += 1
-    ordered = sorted(entries.values())
-    return [(u, v, p) for _, u, v, p in ordered]
+def _line_error(line):
+    """The message of the first check that one edge-list line fails. The
+    checks run in this order: two or three columns, integer ids,
+    non-negative ids, ids within int64, no self-loop, a numeric
+    probability, a probability in (0, 1]. Only called for a line that
+    fails one of them."""
+    line = line.strip()
+    parts = line.split()
+    if len(parts) not in (2, 3):
+        return f"expected 'src dst [prob]', got {line!r}"
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        return f"node ids must be integers, got {line!r}"
+    if u < 0 or v < 0:
+        return f"node ids must be non-negative, got {line!r}"
+    if max(u, v) > _MAX_NODE_ID:
+        return f"node id {max(u, v)} exceeds the int64 range"
+    if u == v:
+        return f"self-loop on node {u} rejected"
+    try:
+        p = float(parts[2])
+    except ValueError:
+        return f"probability must be a number, got {parts[2]!r}"
+    return f"probability {p} outside (0, 1]"
+
+
+def _convert(tokens, kind):
+    """The longest prefix of `tokens` (an object array of str) that `kind`
+    (`int` or `float`) converts into int64 or float64, converted. The token
+    after that prefix, if any, is the first that fails or overflows."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.array(tokens, dtype=dtype)  # converts each token as `kind` does
+    except (ValueError, OverflowError):
+        pass
+    # np.fromiter stops at the first failing token; the iterator shows how far it got
+    rest = iter(tokens.tolist())
+    try:
+        np.fromiter(map(kind, rest), dtype, count=len(tokens))
+    except (ValueError, OverflowError):
+        pass
+    return np.array(tokens[: len(tokens) - operator.length_hint(rest) - 1], dtype=dtype)
+
+
+def _first_true(mask):
+    """Index of the first True in `mask`, or its length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
 def load_edge_list(source, directed=True):
     """Parse a whitespace-separated `src dst [prob]` edge list into a SocialGraph.
 
-    `source` may be a path or an open text stream. Lines starting with `#`
-    and blank lines are skipped. Original node ids are remapped to dense ids
-    (ascending original order); the mapping is kept on the graph.
+    `source` may be a path or an open text stream; lines are split at "\\n".
+    Lines of 2 and 3 columns may be mixed. A line is skipped when it is
+    blank or its first non-blank character is `#`. Ids are non-negative
+    int64 values, remapped to dense ids in ascending original order; the
+    mapping is kept on the graph. A repeated edge (on an undirected graph,
+    in either direction) keeps its last occurrence, with one warning naming
+    each repeat's line. The first line that fails a check raises
+    `GraphParseError` with its line number, after the warnings for the
+    lines before it.
     """
     if hasattr(source, "read"):
-        edges = _parse_lines(source, directed)
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as handle:
-            edges = _parse_lines(handle, directed)
+            text = handle.read()
+    counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
+    tokens = np.array(text.split(), dtype=object)
+    first = np.cumsum(counts) - counts  # index of each line's first token
+    data = np.flatnonzero(counts)
+    data = data[tokens[first[data]].astype("U1") != "#"]  # the line of each data row
 
-    ids = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
-    remap = {orig: dense for dense, orig in enumerate(ids)}
+    # each check runs on the rows before the first row that an earlier check failed
+    width = counts[data]
+    at = first[data[: _first_true((width != 2) & (width != 3))]]
+    u = _convert(tokens[at], int)
+    v = _convert(tokens[at[: len(u)] + 1], int)
+    u = u[: len(v)]
+    three = np.flatnonzero(width[: len(v)] == 3)
+    p = _convert(tokens[at[three] + 2], float)
+    del tokens  # the token strings are most of the load's peak; free them before the graph is built
+    ok = (u >= 0) & (v >= 0) & (u != v)
+    ok[three[len(p):]] = False
+    ok[three[: len(p)]] &= (p > 0.0) & (p <= 1.0)  # NaN fails both
+    prob = np.zeros(len(ok))
+    prob[three[: len(p)]] = p
+    stop = _first_true(~ok)  # the first failing row, if any: all rows before it pass
+    u, v, prob = u[:stop], v[:stop], prob[:stop]
 
-    arcs = []
-    for u, v, p in edges:
-        du, dv = remap[u], remap[v]
-        pv = 0.0 if p is None else p
-        arcs.append((du, dv, pv))
-        if not directed:
-            arcs.append((dv, du, pv))
-    return SocialGraph(len(ids), arcs, directed, original_ids=np.asarray(ids, dtype=np.int64))
+    ids, dense = np.unique(np.concatenate([u, v]), return_inverse=True)
+    n = len(ids)
+    if n > _MAX_KEY_NODES:
+        raise GraphParseError(f"{n} distinct node ids are more than the {_MAX_KEY_NODES} supported")
+    src, dst = dense[:stop], dense[stop:]
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst) if not directed else src * n + dst
+    _, last = np.unique(keys[::-1], return_index=True)
+    keep = np.sort(stop - 1 - last)  # each edge's last occurrence, in line order
+    if len(keep) < stop:  # warn at every repeat of an edge, in line order
+        _, once = np.unique(keys, return_index=True)
+        repeat = np.ones(stop, dtype=bool)
+        repeat[once] = False
+        for r in np.flatnonzero(repeat).tolist():
+            warnings.warn(
+                f"duplicate edge {u[r]}->{v[r]} at line {data[r] + 1}; keeping the last occurrence"
+            )
+    if stop < len(data):
+        line = int(data[stop])
+        raise GraphParseError(_line_error(text.split("\n")[line]), line + 1)
+
+    src, dst, prob = src[keep], dst[keep], prob[keep]
+    if not directed:  # each edge becomes two adjacent mirror arcs sharing its probability
+        src, dst = np.column_stack([src, dst]).ravel(), np.column_stack([dst, src]).ravel()
+        prob = np.repeat(prob, 2)
+    return SocialGraph(n, src, dst, prob, directed, original_ids=ids)
 
 
 # --- assignment operations ----------------------------------------------------

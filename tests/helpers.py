@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
@@ -18,13 +19,16 @@ from ebmax.diffusion import (
     _target_masks,
     _union,
 )
-from ebmax.graph import NodeEconomics, SocialGraph
+from ebmax.graph import _MAX_NODE_ID, GraphParseError, NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
 from ebmax.hop import _check_hops, _in_arcs, _walk_influence
 
 
-def make_graph(n, arcs, directed=True):
-    return SocialGraph(n, arcs, directed)
+def make_graph(n, arcs, directed=True, *, original_ids=None):
+    """SocialGraph on n nodes from a list of `(src, dst, prob)` arcs."""
+    arcs = list(arcs)
+    src, dst, prob = ([a[i] for a in arcs] for i in range(3))
+    return SocialGraph(n, src, dst, prob, directed, original_ids=original_ids)
 
 
 def make_economics(n, targets, benefits=None, costs=None):
@@ -55,7 +59,7 @@ def random_instance(rng, max_nodes=8, max_arcs=12, p_lo=0.05, p_hi=0.95):
         (possible[i][0], possible[i][1], float(rng.uniform(p_lo, p_hi)))
         for i in sorted(picks.tolist())
     ]
-    graph = SocialGraph(n, arcs, True)
+    graph = make_graph(n, arcs, True)
     k = max(1, n // 2)
     targets = np.sort(rng.choice(n, size=k, replace=False))
     benefit = np.zeros(n)
@@ -81,7 +85,7 @@ def isolated_vs_clique_instance(clique_size=4, eps=0.5):
         for v in range(1, n):
             if u != v:
                 arcs.append((u, v, 1.0))
-    graph = SocialGraph(n, arcs, True)
+    graph = make_graph(n, arcs, True)
     cost = np.full(n, float(p))
     cost[0] = 1.0 - eps
     benefit = np.ones(n)
@@ -375,7 +379,7 @@ def tangled_instances(draw, max_nodes=7, max_pairs=10):
         benefit[t] = draw(st.floats(1.0, 10.0))
     cost = np.array([draw(st.floats(0.5, 5.0)) for _ in range(n)])
     economics = NodeEconomics(cost=cost, benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
-    return SocialGraph(n, arcs, True), economics
+    return make_graph(n, arcs, True), economics
 
 
 # --- exact and hop-bounded references on the production kernels ---------------
@@ -489,3 +493,65 @@ def save_edge_list(graph, target):
     else:
         with open(target, "w", encoding="utf-8") as handle:
             _write(handle)
+
+
+def reference_parse_lines(lines, directed):
+    """Collect deduplicated (orig_u, orig_v, prob_or_None); duplicates keep the last occurrence."""
+    entries = {}  # key -> (position_of_last_occurrence, u, v, prob)
+    counter = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphParseError(f"expected 'src dst [prob]', got {line!r}", line_no)
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"node ids must be integers, got {line!r}", line_no) from None
+        if u < 0 or v < 0:
+            raise GraphParseError(f"node ids must be non-negative, got {line!r}", line_no)
+        if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
+            raise GraphParseError(f"node id {max(u, v)} exceeds the int64 range", line_no)
+        if u == v:
+            raise GraphParseError(f"self-loop on node {u} rejected", line_no)
+        p = None
+        if len(parts) == 3:
+            try:
+                p = float(parts[2])
+            except ValueError:
+                raise GraphParseError(f"probability must be a number, got {parts[2]!r}", line_no) from None
+            if not (0.0 < p <= 1.0):
+                raise GraphParseError(f"probability {p} outside (0, 1]", line_no)
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in entries:
+            warnings.warn(f"duplicate edge {u}->{v} at line {line_no}; keeping the last occurrence")
+        entries[key] = (counter, u, v, p)
+        counter += 1
+    ordered = sorted(entries.values())
+    return [(u, v, p) for _, u, v, p in ordered]
+
+
+def reference_load_edge_list(source, directed=True):
+    """The line-at-a-time edge-list loader that `graph.load_edge_list`
+    replaced, kept as the oracle of its differential test: one dict entry
+    per edge and one tuple per arc."""
+    if hasattr(source, "read"):
+        edges = reference_parse_lines(source, directed)
+    else:
+        with open(source, "r", encoding="utf-8") as handle:
+            edges = reference_parse_lines(handle, directed)
+
+    ids = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
+    remap = {orig: dense for dense, orig in enumerate(ids)}
+
+    arcs = []
+    for u, v, p in edges:
+        du, dv = remap[u], remap[v]
+        pv = 0.0 if p is None else p
+        arcs.append((du, dv, pv))
+        if not directed:
+            arcs.append((dv, du, pv))
+    return make_graph(len(ids), arcs, directed, original_ids=np.asarray(ids, dtype=np.int64))

@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ebmax.baselines import max_degree_select
 from ebmax.cli import main as cli_main

@@ -11,7 +11,6 @@ from ebmax.baselines import (
     max_degree_select,
     single_discount_select,
 )
-from ebmax.graph import SocialGraph
 from ebmax.hop import HopConfig, hop_based_select
 
 from helpers import (
@@ -28,7 +27,7 @@ def undirected(n, pairs, p=0.1):
     for u, v in pairs:
         arcs.append((u, v, p))
         arcs.append((v, u, p))
-    return SocialGraph(n, arcs, directed=False)
+    return make_graph(n, arcs, directed=False)
 
 
 class TestMaxDegree:
@@ -112,7 +111,7 @@ class TestSingleDiscount:
         assert res.trace[1].gain == 1.0  # one neighbor already seeded
 
     def test_isolated_nodes_in_id_order(self):
-        g = SocialGraph(4, [], directed=False)
+        g = make_graph(4, [], directed=False)
         econ = make_economics(4, targets=[0])
         res = single_discount_select(g, econ, 3.0)
         assert res.seeds == [0, 1, 2]
@@ -157,7 +156,7 @@ class TestSharedInvariants:
             assert sorted(res.seeds) == list(range(g.node_count))
 
     def test_edgeless_graphs_agree_with_max_degree(self):
-        g = SocialGraph(5, [], directed=False)
+        g = make_graph(5, [], directed=False)
         econ = make_economics(5, targets=[1], costs={0: 2.0, 3: 2.0})
         budget = 4.0
         ref = max_degree_select(g, econ, budget)
@@ -223,7 +222,7 @@ def pinned_instances():
     edges = [(0, 1, 0.3), (0, 2, 0.3), (0, 3, 0.2), (1, 2, 0.5),
              (3, 4, 0.4), (4, 5, 0.3), (5, 6, 0.6), (2, 5, 0.1)]
     tiny = (
-        SocialGraph(7, [a for u, v, p in edges for a in ((u, v, p), (v, u, p))], directed=False),
+        make_graph(7, [a for u, v, p in edges for a in ((u, v, p), (v, u, p))], directed=False),
         make_economics(
             7,
             targets=[2, 4, 6],

@@ -1,17 +1,20 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ebmax.graph as graph_mod
 
 from ebmax.graph import (
     AssignmentScheme,
     DegreeProportionalCosts,
     GraphParseError,
     NodeEconomics,
-    RandomBenefits,
     RandomCosts,
     SocialGraph,
     TrivalencyProbability,
@@ -22,7 +25,7 @@ from ebmax.graph import (
     load_edge_list,
 )
 
-from helpers import make_graph, save_edge_list, tangled_instances
+from helpers import make_graph, reference_load_edge_list, save_edge_list, tangled_instances
 
 
 def load_text(text, directed=True):
@@ -88,10 +91,90 @@ class TestLoadEdgeList:
         assert set(g.prob.tolist()) == {0.7}
 
 
+# tokens that int() or float() read differently from a plain digit string,
+# that overflow int64, or that do not convert at all
+ODD_IDS = ("1_0", "+5", "007", "-1", "0", "2", "4", "9223372036854775807", "9223372036854775808",
+           "-9223372036854775809", "99999999999999999999", "x", "1.5", "\u0663")
+ODD_PROBS = ("nan", "0", "1.5", "1e-400", "inf", "-0.5", "abc", "1_0.5", "+.5", "1e-3", "1")
+# whitespace that str.split() splits on, some of which str.splitlines() also breaks lines at
+SEPARATORS = (" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text mixing good lines with every kind of bad one: mostly
+    edges over a few small ids (so edges repeat, also reversed), then odd
+    ids and probabilities, comments, blank lines and lines of a wrong width."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["edge"] * 10 + ["odd", "odd", "comment", "blank", "width"]))
+        if kind == "comment":
+            body = "#" + draw(st.sampled_from(["", " note", "1 2", "#", "x y z w"]))
+        elif kind == "blank":
+            body = ""
+        else:
+            u = draw(st.integers(0, 4))
+            tokens = [str(u), str((u + draw(st.integers(1, 4))) % 5)]  # no self-loop
+            tokens += draw(st.lists(st.sampled_from(["0.5", "1", "0.25"]), max_size=1))
+            if kind == "odd":  # replace some tokens, or add an odd probability
+                odd = [ODD_IDS, ODD_IDS, ODD_PROBS]
+                tokens = [draw(st.sampled_from([t, *odd[i]])) for i, t in enumerate(tokens)]
+                tokens += draw(st.lists(st.sampled_from(ODD_PROBS), max_size=3 - len(tokens)))
+            elif kind == "width":
+                tokens = draw(st.sampled_from([tokens[:1], tokens + ["1", "2"]]))
+            body = draw(st.sampled_from(SEPARATORS)).join(tokens)
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\r"]))
+        lines.append(lead + body + trail + draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(lines)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def load_outcome(load, source, directed):
+    """Everything a load shows: the graph's arrays or the error's message and
+    line, and the warnings in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = load(source, directed=directed)
+        except GraphParseError as err:
+            result = (str(err), err.line_no)
+        else:
+            arrays = (g.src, g.dst, g.prob, g.original_ids, *g.out_csr, *g.in_csr, g.degree)
+            result = (g.node_count, g.directed, [(a.dtype.str, a.tolist()) for a in arrays])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=400)
+    @given(edge_list_texts(), st.booleans())
+    @example("0 1\n1 0\n0 1 0.5\n2 2\n1 0 0.25\n", False)  # warnings, then the error
+    @example("0 1\x852 3\n4 4\n", True)  # one line of four tokens under "\n" splitting
+    @example("0 1\n9223372036854775808 1\n", True)  # beyond int64: overflows np.array
+    @example("-1 99999999999999999999\n", True)  # the sign is checked before the range
+    def test_same_graph_warnings_and_error(self, text, directed):
+        expected = load_outcome(reference_load_edge_list, io.StringIO(text), directed)
+        assert load_outcome(load_edge_list, io.StringIO(text), directed) == expected
+
+    def test_path_source_uses_universal_newlines(self, tmp_path):
+        path = tmp_path / "g.txt"
+        for text in (b"0 1\r1 2 0.5\r\n5 5\n", b"# x\r3 4\r4 3\r", b"7 8\r\n8 9 2\r"):
+            path.write_bytes(text)
+            for directed in (True, False):
+                expected = load_outcome(reference_load_edge_list, path, directed)
+                assert load_outcome(load_edge_list, path, directed) == expected
+
+    def test_refuses_more_ids_than_edge_keys_hold(self, monkeypatch):
+        # edge keys u * n + v would wrap past int64 beyond this many ids
+        monkeypatch.setattr(graph_mod, "_MAX_KEY_NODES", 3)
+        load_text("0 1\n1 2\n")
+        with pytest.raises(GraphParseError, match="4 distinct node ids are more than the 3 supported"):
+            load_text("0 1\n2 3\n")
+
+
 class TestSocialGraphInvariants:
     @given(tangled_instances())
-    @example((SocialGraph(0, []), None))  # empty graph
-    @example((SocialGraph(5, [(3, 1, 0.5), (1, 3, 0.5)]), None))  # isolated nodes 0, 2, 4
+    @example((make_graph(0, []), None))  # empty graph
+    @example((make_graph(5, [(3, 1, 0.5), (1, 3, 0.5)]), None))  # isolated nodes 0, 2, 4
     def test_adjacency_directions_agree(self, instance):
         g, _ = instance
         n = g.node_count
@@ -114,34 +197,66 @@ class TestSocialGraphInvariants:
         n, edges = 10_000, 75_000
         u = rng.integers(0, n, size=edges)
         v = (u + rng.integers(1, n, size=edges)) % n
-        arcs = []
-        for a, b in zip(u.tolist(), v.tolist()):
-            arcs += [(a, b, 0.0), (b, a, 0.0)]
         tracemalloc.start()
         try:
-            g = SocialGraph(n, arcs, directed=False)
+            src, dst = np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel()
+            g = SocialGraph(n, src, dst, np.zeros(2 * edges), directed=False)
+            del src, dst
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert g.arc_count == 150_000
         assert held < 10 * 2**20, f"graph holds {held / 2**20:.1f} MB"
 
+    def test_load_peaks_under_three_times_the_graph(self, tmp_path):
+        # the same 10k-node, 75k-edge shape read from a file: the load may not
+        # hold per-edge Python objects, only the text, its tokens and arrays
+        rng = np.random.default_rng(0)
+        n, edges = 10_000, 75_000
+        u = rng.integers(0, n, size=edges + 1000)
+        v = (u + rng.integers(1, n, size=edges + 1000)) % n
+        _, once = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        once = np.sort(once)[:edges]  # no repeated edge, so no warnings
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(u[once].tolist(), v[once].tolist())))
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path, directed=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (g.src, g.dst, g.prob, g.original_ids, g.degree, *g.out_csr, *g.in_csr)
+        held = sum(a.nbytes for a in arrays)
+        assert g.arc_count == 2 * edges
+        assert peak < 3 * held, f"load peaks at {peak / held:.2f}x the {held / 2**20:.1f} MB graph"
+
     def test_rejects_bad_arcs(self):
         with pytest.raises(ValueError):
-            SocialGraph(2, [(0, 0, 0.5)])
+            make_graph(2, [(0, 0, 0.5)])
         with pytest.raises(ValueError):
-            SocialGraph(2, [(0, 5, 0.5)])
+            make_graph(2, [(0, 5, 0.5)])
         with pytest.raises(ValueError):
-            SocialGraph(2, [(0, 1, 1.5)])
+            make_graph(2, [(0, 1, 1.5)])
         with pytest.raises(ValueError, match="probability nan"):
-            SocialGraph(2, [(0, 1, float("nan"))])
+            make_graph(2, [(0, 1, float("nan"))])
+        for columns in (([0], [1, 0], [0.5, 0.5]), (0, 1, 0.5), ([[0]], [[1]], [[0.5]])):
+            with pytest.raises(ValueError, match="1-D arrays of equal length"):
+                SocialGraph(2, *columns)
+
+    def test_arc_index_without_composite_keys(self, monkeypatch):
+        keys = np.array([2, 0, 2, 1, 0])
+        offsets, arcs = graph_mod._arc_index(keys, 3)
+        monkeypatch.setattr(graph_mod, "_MAX_NODE_ID", 0)  # as if key * m + id overflowed
+        stable = graph_mod._arc_index(keys, 3)
+        assert offsets.tolist() == stable[0].tolist() == [0, 2, 3, 5]
+        assert arcs.tolist() == stable[1].tolist() == [1, 4, 3, 0, 2]
 
     def test_undirected_requires_mirror_pairs(self):
         with pytest.raises(ValueError, match="mirror"):
-            SocialGraph(2, [(0, 1, 0.5)], directed=False)
+            make_graph(2, [(0, 1, 0.5)], directed=False)
         with pytest.raises(ValueError, match="mirror"):
-            SocialGraph(2, [(0, 1, 0.5), (1, 0, 0.25)], directed=False)
-        SocialGraph(2, [(0, 1, 0.5), (1, 0, 0.5)], directed=False)  # well-formed
+            make_graph(2, [(0, 1, 0.5), (1, 0, 0.25)], directed=False)
+        make_graph(2, [(0, 1, 0.5), (1, 0, 0.5)], directed=False)  # well-formed
 
     def test_roundtrip_preserves_arc_multiset(self, tmp_path):
         for text, directed in [
@@ -190,7 +305,7 @@ class TestAssignProbabilities:
     def test_trivalency_undirected_pairs_share_draw(self):
         loaded = load_text("0 1\n1 2\n2 3\n3 4\n4 5\n", directed=False)
         # built without an edge list: still one draw per mirror pair, not per arc
-        built = SocialGraph(3, [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.0), (2, 1, 0.0)], directed=False)
+        built = make_graph(3, [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.0), (2, 1, 0.0)], directed=False)
         for g in (loaded, built):
             for seed in range(6):
                 g2 = assign_probabilities(g, TrivalencyProbability(), seed=seed)
@@ -243,12 +358,12 @@ class TestAssignEconomics:
 
     def test_target_count_is_floor(self):
         # floor(0.2 * 1005) = 201
-        g = SocialGraph(1005, [(0, 1, 0.5)])
+        g = make_graph(1005, [(0, 1, 0.5)])
         econ = assign_economics(g, AssignmentScheme(), seed=9)
         assert len(econ.targets) == 201
 
     def test_random_ranges(self):
-        g = SocialGraph(200, [(0, 1, 0.5)])
+        g = make_graph(200, [(0, 1, 0.5)])
         econ = assign_economics(g, AssignmentScheme(), seed=2)
         assert np.all((econ.cost >= 1.0) & (econ.cost <= 50.0))
         tb = econ.benefit[econ.targets]
@@ -266,7 +381,7 @@ class TestAssignEconomics:
 
     def test_isolated_node_cost_clamped(self):
         # node 2 is isolated: degree 0 would give cost 0, clamped instead
-        g = SocialGraph(3, [(0, 1, 0.5)])
+        g = make_graph(3, [(0, 1, 0.5)])
         scheme = AssignmentScheme(cost=DegreeProportionalCosts(), benefit=UnitBenefits())
         econ = assign_economics(g, scheme, seed=0)
         assert econ.cost[2] == 1e-6
@@ -275,12 +390,12 @@ class TestAssignEconomics:
     def test_degree_proportional_costs_sum_to_n(self):
         # no isolated nodes, so the clamp never fires: sum must hit n exactly
         base = [(i, (i + 3) % 20) for i in range(20)] + [(i, (i + 7) % 20) for i in range(20)]
-        directed_graph = SocialGraph(20, [(u, v, 0.1) for u, v in base], True)
+        directed_graph = make_graph(20, [(u, v, 0.1) for u, v in base], True)
         mirrored = []
         for u, v in base:
             mirrored.append((u, v, 0.1))
             mirrored.append((v, u, 0.1))
-        undirected_graph = SocialGraph(20, mirrored, False)
+        undirected_graph = make_graph(20, mirrored, False)
         scheme = AssignmentScheme(cost=DegreeProportionalCosts(), benefit=UnitBenefits())
         for g in (directed_graph, undirected_graph):
             econ = assign_economics(g, scheme, seed=3)

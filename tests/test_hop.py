@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ebmax.diffusion import BenefitEstimator
-from ebmax.graph import NodeEconomics, SocialGraph
 from ebmax.hop import (
     HopConfig,
     compute_scores,
@@ -52,7 +51,7 @@ def disjoint_paths_instance(rng, hops):
         for i in range(length):
             arcs.append((chain[i], chain[i + 1], float(probs[i])))
         path_probs.append(float(np.prod(probs)))
-    graph = SocialGraph(next_node, arcs, True)
+    graph = make_graph(next_node, arcs, True)
     survive = 1.0
     for p in path_probs:
         survive *= 1.0 - p

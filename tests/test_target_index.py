@@ -26,7 +26,7 @@ from ebmax.diffusion import (
     _target_bits,
     _target_masks,
 )
-from ebmax.graph import NodeEconomics, SocialGraph
+from ebmax.graph import NodeEconomics
 
 from helpers import (
     ExactBenefitOracle,
@@ -58,7 +58,7 @@ def instances(draw):
     if n >= 4 and draw(st.booleans()):
         certain = CYCLE_TO_SINK
         arcs = sorted({(u, v) for u, v in arcs if u != 3} | certain)
-    graph = SocialGraph(n, [(u, v, 1.0 if (u, v) in certain else draw(probabilities)) for u, v in arcs], True)
+    graph = make_graph(n, [(u, v, 1.0 if (u, v) in certain else draw(probabilities)) for u, v in arcs], True)
     targets = sorted(draw(st.sets(st.integers(0, n - 1))))
     benefit = np.zeros(n)
     for t in targets:
@@ -84,7 +84,7 @@ def cycle_feeds_sink(graph):
 
 
 def _instance(n, arcs, targets, samples=3, seed=5):
-    graph = SocialGraph(n, arcs, True)
+    graph = make_graph(n, arcs, True)
     benefit = np.zeros(n)
     benefit[targets] = 1.0
     economics = NodeEconomics(cost=np.ones(n), benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
@@ -171,7 +171,7 @@ def test_world_chunks_stay_small_on_many_nodes_and_few_arcs():
     # a chunk holds about 4M draws and per-node counts together; without the
     # node term all 64 worlds' counts (64 x 200k int64, over 100 MB) would be
     # built at once
-    graph = SocialGraph(200_000, [(0, 1, 1.0), (1, 2, 0.5)], True)
+    graph = make_graph(200_000, [(0, 1, 1.0), (1, 2, 0.5)], True)
     tracemalloc.start()
     try:
         # 0 -> 1 is kept only in the worlds where 1 -> 2 is live
@@ -302,7 +302,7 @@ def wide_instances(draw):
     path = {(v, v + 1) for v in range(n - 1)}
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in path]
     arcs = sorted(path | draw(st.sets(st.sampled_from(pairs), max_size=30)))
-    graph = SocialGraph(n, [(u, v, 1.0 if (u, v) in path else draw(probabilities)) for u, v in arcs], True)
+    graph = make_graph(n, [(u, v, 1.0 if (u, v) in path else draw(probabilities)) for u, v in arcs], True)
     targets = sorted(draw(st.sets(st.integers(0, n - 1), min_size=16)))
     benefit = np.zeros(n)
     for t in targets:
