@@ -27,41 +27,52 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ebmax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a budget sweep and write a results CSV")
-    run.add_argument("--graph", required=True, help="edge-list file (src dst [prob] per line)")
+    # each flag's dest is its ExperimentConfig field, and a flag not given is
+    # left out, so the config's own defaults are the only ones
+    run = sub.add_parser(
+        "run", help="run a budget sweep and write a results CSV", argument_default=argparse.SUPPRESS
+    )
+    run.add_argument(
+        "--graph", dest="graph_path", required=True, help="edge-list file (src dst [prob] per line)"
+    )
     run.add_argument("--directed", action="store_true", help="treat input edges as directed")
     run.add_argument(
         "--prob",
-        default="uniform:0.1",
+        dest="probability",
         help="uniform:P, trivalency, or file (the edge list's own probability column)",
     )
-    run.add_argument("--econ", default="random", choices=["random", "degprop"])
-    run.add_argument("--target-frac", type=float, default=0.2, help="fraction of nodes made targets")
-    run.add_argument("--budgets", type=_comma_floats, default=(), help="comma-separated budget values")
+    run.add_argument("--econ", dest="economics", choices=["random", "degprop"])
+    run.add_argument(
+        "--target-frac", dest="target_fraction", type=float, help="fraction of nodes made targets"
+    )
+    run.add_argument("--budgets", type=_comma_floats, help="comma-separated budget values")
     run.add_argument(
         "--algos",
+        dest="algorithms",
         type=_comma_names,
-        default=ALGORITHMS,
         help=f"comma-separated algorithm names from: {','.join(ALGORITHMS)}",
     )
-    run.add_argument("--samples", type=int, default=10000, help="Monte Carlo samples per estimator")
-    run.add_argument("--hop", type=int, default=2, help="hop radius for hbh")
-    run.add_argument("--alpha", type=float, default=0.1, help="influence cutoff for hbh")
-    run.add_argument("--seed", type=int, default=0, help="master seed")
-    run.add_argument("--reps", type=int, default=5, help="held-out evaluation repetitions")
-    run.add_argument("--out", required=True, help="output CSV path")
+    run.add_argument("--samples", type=int, help="Monte Carlo samples per estimator")
+    run.add_argument("--hop", dest="hops", type=int, help="hop radius for hbh")
+    run.add_argument("--alpha", dest="cutoff", type=float, help="influence cutoff for hbh")
+    run.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    run.add_argument("--reps", dest="repetitions", type=int, help="held-out evaluation repetitions")
+    run.add_argument("--out", dest="output_path", required=True, help="output CSV path")
     run.add_argument(
         "--no-timing",
-        action="store_true",
+        dest="record_timing",
+        action="store_false",
         help="write 0.0 in the seconds column so the CSV is byte-reproducible",
     )
     run.add_argument(
         "--allow-igaag-large",
+        dest="allow_eager_on_large",
         action="store_true",
         help="permit the eager greedy on graphs above the node limit",
     )
     run.add_argument(
         "--skip-zero",
+        dest="skip_zero_scores",
         action="store_true",
         help="hbh stops at the first zero-score node instead of seeding it",
     )
@@ -90,24 +101,9 @@ def main(argv=None):
             return 2
         return 0
 
-    config = ExperimentConfig(
-        graph_path=args.graph,
-        directed=args.directed,
-        probability=args.prob,
-        economics=args.econ,
-        target_fraction=args.target_frac,
-        budgets=args.budgets,
-        algorithms=args.algos,
-        samples=args.samples,
-        hops=args.hop,
-        cutoff=args.alpha,
-        master_seed=args.seed,
-        repetitions=args.reps,
-        output_path=args.out,
-        record_timing=not args.no_timing,
-        allow_eager_on_large=args.allow_igaag_large,
-        skip_zero_scores=args.skip_zero,
-    )
+    fields = vars(args)
+    del fields["command"]
+    config = ExperimentConfig(**fields)
     try:
         run_experiment(config)
     except ConfigError as exc:

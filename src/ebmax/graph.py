@@ -50,6 +50,16 @@ def _arc_index(keys, n):
     return offsets, np.sort(keys * m + np.arange(m)) % m
 
 
+def _id_column(name, column):
+    """`column` as int64 node ids. A non-empty column must hold integers, so a
+    float or bool id is refused rather than truncated; an empty list, which
+    numpy types as float64, is an empty column."""
+    ids = np.asarray(column)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 class SocialGraph:
     """Immutable directed graph whose arcs carry influence probabilities.
 
@@ -70,8 +80,8 @@ class SocialGraph:
         self.node_count = int(node_count)
         self.directed = bool(directed)
 
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src = _id_column("src", src)
+        self.dst = _id_column("dst", dst)
         self.prob = np.asarray(prob, dtype=np.float64)
         if not (
             self.src.ndim == self.dst.ndim == self.prob.ndim == 1

@@ -43,31 +43,36 @@ def _check_budget(budget):
         raise ValueError(f"budget must be positive and finite, got {budget}")
 
 
-def _commit_loop(economics, budget, pick, stop_on_zero_gain):
+def _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator=None):
     """Commit the nodes `pick` chooses until the budget or the gains run out.
 
-    `pick(seeds, chosen, remaining)` returns the next
-    (node, ratio, gain, evaluations) among the affordable nodes not yet
-    chosen, or None when there is none; `evaluations` counts the estimator
-    queries the pick made and is charged to the node's trace entry. The
-    result carries no estimate of its own (NaN), and its evaluations are
-    those of every pick, the one that stopped the loop included.
+    `pick(seeds, chosen, remaining)` returns the next (node, ratio, gain)
+    among the affordable nodes not yet chosen, or None when there is none.
+    With an `estimator`, each trace entry is charged the queries its pick
+    made, the result carries the estimate of the seed set, and its
+    evaluations are every query of the selection: the pick that stopped the
+    loop and that estimate included. Without one, the estimate is NaN and
+    nothing is charged.
     """
     _check_budget(budget)
+
+    def queries():
+        return 0 if estimator is None else estimator.evaluations
+
     cost = economics.cost
     seeds = []
     chosen = set()
     remaining = float(budget)
     trace = []
-    evaluations = 0
+    start = queries()
 
     while True:
+        before = queries()
         best = pick(seeds, chosen, remaining)
         if best is None:
             stop_reason = "no_affordable"
             break
-        node, ratio, gain, spent_queries = best
-        evaluations += spent_queries
+        node, ratio, gain = best
         if stop_on_zero_gain and ratio <= 0.0:
             stop_reason = "zero_gain"
             break
@@ -75,7 +80,7 @@ def _commit_loop(economics, budget, pick, stop_on_zero_gain):
         chosen.add(node)
         remaining -= float(cost[node])
         trace.append(
-            TraceEntry(node=node, gain=gain, budget_left=remaining, evaluations=spent_queries)
+            TraceEntry(node=node, gain=gain, budget_left=remaining, evaluations=queries() - before)
         )
         if remaining <= 0.0:
             stop_reason = "budget_exhausted"
@@ -84,28 +89,11 @@ def _commit_loop(economics, budget, pick, stop_on_zero_gain):
     return SelectionResult(
         seeds=seeds,
         spent=float(budget) - remaining,
-        estimated_benefit=math.nan,
+        estimated_benefit=math.nan if estimator is None else estimator.estimate(seeds),
         trace=trace,
-        evaluations=evaluations,
+        evaluations=queries() - start,
         stop_reason=stop_reason,
     )
-
-
-def _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain):
-    """The commit loop over a `pick` that queries `estimator` and returns
-    (node, ratio, gain). Adds the final estimate of the seed set; the result
-    is charged every query of the selection, that estimate included."""
-    start = estimator.evaluations
-
-    def counted(seeds, chosen, remaining):
-        before = estimator.evaluations
-        best = pick(seeds, chosen, remaining)
-        return None if best is None else (*best, estimator.evaluations - before)
-
-    result = _commit_loop(economics, budget, counted, stop_on_zero_gain)
-    result.estimated_benefit = estimator.estimate(result.seeds)
-    result.evaluations = estimator.evaluations - start
-    return result
 
 
 def fill_by_rank(economics, budget, score, *, stop_on_zero_gain=False):
@@ -114,13 +102,13 @@ def fill_by_rank(economics, budget, score, *, stop_on_zero_gain=False):
     gain. Unaffordable nodes are passed over for good, since budgets only
     shrink."""
     cost = economics.cost
-    order = iter(np.lexsort((np.arange(len(score)), -score)).tolist())
+    order = iter(np.argsort(-score, kind="stable").tolist())
 
     def pick(seeds, chosen, remaining):
         for v in order:
             if cost[v] <= remaining:
                 s = float(score[v])
-                return v, s, s, 0
+                return v, s, s
         return None
 
     return _commit_loop(economics, budget, pick, stop_on_zero_gain)
@@ -146,7 +134,7 @@ def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True)
                 best = (v, ratio, gain)
         return best
 
-    return _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain)
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator)
 
 
 def best_single_node(estimator, economics, budget):
@@ -176,12 +164,12 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
     unbounded worst case of the plain ratio greedy into a
     (1 - 1/sqrt(e)) approximation.
     """
-    evals_start = estimator.evaluations
     greedy = greedy_ratio_select(
         estimator, economics, budget, stop_on_zero_gain=stop_on_zero_gain
     )
+    before = estimator.evaluations
     node, benefit = best_single_node(estimator, economics, budget)
-    total_evals = estimator.evaluations - evals_start
+    guard = estimator.evaluations - before
     if node is not None and benefit > greedy.estimated_benefit:
         spent = float(economics.cost[node])
         return SelectionResult(
@@ -189,17 +177,12 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
             spent=spent,
             estimated_benefit=benefit,
             trace=[
-                TraceEntry(
-                    node=node,
-                    gain=benefit,
-                    budget_left=float(budget) - spent,
-                    evaluations=total_evals - greedy.evaluations,
-                )
+                TraceEntry(node=node, gain=benefit, budget_left=float(budget) - spent, evaluations=guard)
             ],
-            evaluations=total_evals,
+            evaluations=greedy.evaluations + guard,
             stop_reason="single_node",
         )
-    greedy.evaluations = total_evals
+    greedy.evaluations += guard
     return greedy
 
 
@@ -214,33 +197,25 @@ def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
     the same estimator, at a fraction of the evaluations.
     """
     cost = economics.cost.tolist()
+    # entries are (-ratio, node, gain, round computed); a popped node is
+    # committed, dropped or pushed back refreshed, so no node has two entries
+    # and a tie in ratio is broken by the node id alone
     heap = []
-    cached = {}  # node -> (ratio, gain, round computed); unaffordable nodes dropped
-
-    def store(seeds, v, gain):
-        ratio = gain / cost[v]
-        cached[v] = (ratio, gain, len(seeds))
-        return (-ratio, v)
 
     def pick(seeds, chosen, remaining):
         if not seeds:  # first round: only now is the seed set empty
             nodes = [v for v in range(economics.node_count) if cost[v] <= remaining]
             gains = estimator.marginal_gains(seeds, nodes)
-            heap.extend(store(seeds, v, gain) for v, gain in zip(nodes, gains))
+            heap.extend((-gain / cost[v], v, gain, 0) for v, gain in zip(nodes, gains))
             heapq.heapify(heap)
         while heap:
-            neg_ratio, v = heapq.heappop(heap)
-            entry = cached.get(v)
-            if v in chosen or entry is None or -neg_ratio != entry[0]:
-                continue  # committed, dropped, or superseded by a fresher entry
+            neg_ratio, v, gain, computed = heapq.heappop(heap)
             if cost[v] > remaining:
-                # budgets only shrink, so this node is out for good
-                del cached[v]
-                continue
-            ratio, gain, computed = entry
+                continue  # budgets only shrink, so this node is out for good
             if computed == len(seeds):
-                return v, ratio, gain
-            heapq.heappush(heap, store(seeds, v, estimator.marginal_gain(seeds, v)))
+                return v, -neg_ratio, gain
+            gain = estimator.marginal_gain(seeds, v)
+            heapq.heappush(heap, (-gain / cost[v], v, gain, len(seeds)))
         return None
 
-    return _estimated_loop(estimator, economics, budget, pick, stop_on_zero_gain)
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator)

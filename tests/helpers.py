@@ -352,7 +352,7 @@ def reference_discounted_select(graph, economics, budget, discount):
             if v in chosen or -neg_eff != effective[v] or cost[v] > remaining:
                 continue
             gain = float(effective[v])
-            return v, gain, gain, 0
+            return v, gain, gain
         return None
 
     return _commit_loop(economics, budget, pick, stop_on_zero_gain=False)

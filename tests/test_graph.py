@@ -242,6 +242,16 @@ class TestSocialGraphInvariants:
         for columns in (([0], [1, 0], [0.5, 0.5]), (0, 1, 0.5), ([[0]], [[1]], [[0.5]])):
             with pytest.raises(ValueError, match="1-D arrays of equal length"):
                 SocialGraph(2, *columns)
+        # ids are never truncated: a float, bool or object id column is refused
+        for name, columns in [
+            ("src", ([0.5], [1.7], [0.5])),
+            ("src", ([True], [0], [0.5])),
+            ("dst", ([0], [1.0], [0.5])),
+            ("dst", ([0], np.array([1], dtype=object), [0.5])),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must hold integer node ids"):
+                SocialGraph(3, *columns)
+        assert SocialGraph(3, [], [], []).arc_count == 0  # numpy types [] as float64
 
     def test_arc_index_without_composite_keys(self, monkeypatch):
         keys = np.array([2, 0, 2, 1, 0])

@@ -297,19 +297,22 @@ class RecordingEstimator:
         return self.inner.marginal_gains(seeds, nodes)
 
 
+def pinned_instance():
+    g = make_graph(6, [(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.7), (3, 4, 0.4), (0, 5, 0.3), (5, 3, 0.8)])
+    econ = make_economics(
+        6,
+        targets=[2, 3, 4, 5],
+        benefits={2: 4.0, 3: 2.0, 4: 6.0, 5: 3.0},
+        costs={0: 2.0, 1: 1.5, 2: 1.0, 3: 2.5, 4: 3.0, 5: 1.0},
+    )
+    return g, econ
+
+
 class TestQuerySequence:
     def test_estimator_calls_are_pinned(self):
         # the query sequence fixes eval_count in the harness CSV; these values
         # were recorded before the selectors shared one commit loop
-        g = make_graph(
-            6, [(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.7), (3, 4, 0.4), (0, 5, 0.3), (5, 3, 0.8)]
-        )
-        econ = make_economics(
-            6,
-            targets=[2, 3, 4, 5],
-            benefits={2: 4.0, 3: 2.0, 4: 6.0, 5: 3.0},
-            costs={0: 2.0, 1: 1.5, 2: 1.0, 3: 2.5, 4: 3.0, 5: 1.0},
-        )
+        g, econ = pinned_instance()
         first_round = [("marginal_gain", (), v) for v in range(6)]
         final = [("estimate", (2, 5, 3), None)]
         eager = (
@@ -338,3 +341,15 @@ class TestQuerySequence:
             assert res.seeds == [2, 5, 3]
             assert res.evaluations == len(calls)
             assert res.stop_reason == "budget_exhausted"
+
+    def test_the_stopping_pick_and_the_estimate_are_counted(self):
+        # at budget 10 every target is seeded with 2.5 left, and the pick that
+        # finds only zero gains among nodes 0 and 1 queries before it stops;
+        # no trace entry carries those queries or the final estimate
+        g, econ = pinned_instance()
+        for select in (greedy_ratio_select, lazy_greedy_select, modified_greedy_select):
+            rec = RecordingEstimator(BenefitEstimator(g, econ, samples=64, master_seed=5))
+            res = select(rec, econ, 10.0)
+            assert res.stop_reason == "zero_gain", select.__name__
+            assert res.evaluations == len(rec.calls), select.__name__
+            assert sum(t.evaluations for t in res.trace) < len(rec.calls) - 1, select.__name__

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebmax import harness
+from ebmax import cli, harness
 from ebmax.cli import main as cli_main
 from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
@@ -647,6 +649,58 @@ class TestCli:
             err = capsys.readouterr().err
             assert named in err, err
             assert not out.exists()
+
+
+class TestRunFlags:
+    """Each `run` flag stores into its ExperimentConfig field, and a flag not
+    given leaves the field at the config's own default."""
+
+    def config_of(self, monkeypatch, argv):
+        captured = []
+        monkeypatch.setattr(cli, "run_experiment", captured.append)
+        assert cli_main(argv) == 0
+        [config] = captured
+        return config
+
+    def test_flag_dests_are_the_config_fields(self):
+        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {action.dest for action in subparsers.choices["run"]._actions} - {"help"}
+        assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_flags_not_given_take_the_config_defaults(self, monkeypatch):
+        config = self.config_of(monkeypatch, ["run", "--graph", "g", "--out", "o"])
+        assert config == ExperimentConfig(graph_path="g", output_path="o")
+
+    def test_every_flag_reaches_its_field(self, monkeypatch):
+        argv = [
+            "run", "--graph", "g", "--directed", "--prob", "trivalency", "--econ", "degprop",
+            "--target-frac", "0.5", "--budgets", "1,2.5", "--algos", "hbh,maxdeg", "--samples", "7",
+            "--hop", "3", "--alpha", "0.25", "--seed", "9", "--reps", "2", "--out", "o",
+            "--no-timing", "--allow-igaag-large", "--skip-zero",
+        ]
+        expected = ExperimentConfig(
+            graph_path="g",
+            directed=True,
+            probability="trivalency",
+            economics="degprop",
+            target_fraction=0.5,
+            budgets=(1.0, 2.5),
+            algorithms=("hbh", "maxdeg"),
+            samples=7,
+            hops=3,
+            cutoff=0.25,
+            master_seed=9,
+            repetitions=2,
+            output_path="o",
+            record_timing=False,
+            allow_eager_on_large=True,
+            skip_zero_scores=True,
+        )
+        # every value differs from its field's default, so a dropped flag shows
+        defaults = ExperimentConfig(graph_path="")
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
+        assert self.config_of(monkeypatch, argv) == expected
 
 
 def run_cli(argv):
