@@ -41,16 +41,18 @@ def _discounted_select(graph, economics, budget, discount):
     deletion is safe. Unaffordable nodes are dropped for good (budgets only
     shrink). `seeded_neighbors` never exceeds a node's original degree.
     """
+    # Python floats and ints, not numpy scalars: the same IEEE double
+    # operations without numpy's per-scalar overhead in the heap loop
     n = graph.node_count
-    deg = _base_degree(graph).astype(np.float64)
-    effective = deg.copy()
-    seeded_neighbors = np.zeros(n, dtype=np.int64)
+    deg = _base_degree(graph).astype(np.float64).tolist()
+    effective = list(deg)
+    seeded_neighbors = [0] * n
     dst, src, prob = graph.dst, graph.src, graph.prob
     out_offsets, out_arcs = graph.out_csr
     in_offsets, in_arcs = graph.in_csr
-    cost = economics.cost
+    cost = economics.cost.tolist()
 
-    heap = [(-effective[v], v) for v in range(n)]
+    heap = [(-e, v) for v, e in enumerate(effective)]
     heapq.heapify(heap)
 
     def pick(seeds, chosen, remaining):
@@ -71,7 +73,7 @@ def _discounted_select(graph, economics, budget, discount):
             neg_eff, v = heapq.heappop(heap)
             if v in chosen or -neg_eff != effective[v] or cost[v] > remaining:
                 continue
-            gain = float(effective[v])
+            gain = effective[v]
             return v, gain, gain
         return None
 

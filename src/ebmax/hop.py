@@ -5,10 +5,19 @@ within a fixed hop radius, divides by selection cost, and fills the budget
 by scanning the ranked list. Runs in time proportional to the target count
 times the hop-neighborhood size, with no Monte Carlo sampling.
 
-The depth-1 walk of a node (its in-neighbors' direct influence) does not
-depend on the target, so one scoring pass computes it once per node and
-shares it across all targets; deeper levels are kept per target. The table
-does not depend on the budget either: a sweep hands `hop_based_select` one
+A node's walk is the influence probability onto it of every node within a
+given number of reverse arcs: one minus the product, over its in-arcs, of
+one minus (the source's probability onto the in-neighbor) times the arc
+probability, a node being certain to influence itself. Walks sharing arcs
+are treated as independent, so on graphs with overlapping paths this
+overestimates; it is exact when all source-target paths are arc-disjoint.
+
+Walks are built a level at a time in numpy, for a batch of targets at once:
+each level expands its nodes' in-arcs against the walks one level down and
+multiplies every (node, source) pair's survival factors in in-arc order, so
+the floats are those of the per-target recursion, bit for bit
+(tests/helpers.py keeps that recursion as the reference). The table does
+not depend on the budget either: a sweep hands `hop_based_select` one
 `cache` dict, and the first call's table serves every later budget.
 """
 
@@ -22,8 +31,10 @@ import numpy as np
 from .greedy import fill_by_rank
 
 
-# each hop adds two frames to the walk's recursion, which must stay well
-# inside the interpreter's default limit of 1000 frames
+# Scoring has no recursion, so this limit no longer guards the stack. It stays
+# because every hop adds one level pass per batch of targets, over walks that
+# can hold every node: a mistyped `--hop 100000` would run for hours rather
+# than fail at the boundary.
 MAX_HOPS = 100
 
 
@@ -51,56 +62,153 @@ class ScoreTable:
     score: np.ndarray
 
 
+# Targets are scored in batches whose (node, source) entries, as bounded by
+# `_walk_entries` and summed over the batch, stay within this many, so the
+# peak memory of scoring does not grow with the target count. A target
+# whose own bound is larger is a batch by itself.
+_BATCH_ENTRIES = 50_000
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _ranges(starts, lengths):
+    """Concatenated `arange(s, s + l)` over the pairs of `starts`, `lengths`."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _grouped(keys):
+    """`(order, starts)`: `order` sorts the entries by (key, position), and
+    `starts` marks where each run of equal keys begins in that order."""
+    m = len(keys)
+    if m and (int(keys.max()) + 1) * m > _INT64_MAX:  # composite keys would overflow int64
+        order = np.argsort(keys, kind="stable")
+    else:
+        # one plain sort of distinct composite keys, as graph._arc_index does
+        order = np.sort(keys * m + np.arange(m)) % m
+    ordered = keys[order]
+    return order, np.flatnonzero(np.diff(ordered, prepend=-1))
+
+
+def _ranks(starts, count):
+    """Yield `(groups, at)` for ranks r = 0, 1, ... of the groups that begin
+    at `starts` in an array of `count` entries: `groups` are the groups with
+    more than r entries, and `at` the positions of their r-th entries."""
+    sizes = np.diff(starts, append=count)
+    by_size = np.argsort(-sizes, kind="stable")
+    first = starts[by_size]
+    at_least = np.cumsum(np.bincount(sizes)[::-1])[::-1]  # [r]: groups of >= r entries
+    for r, k in enumerate(at_least[1:].tolist()):
+        yield by_size[:k], first[:k] + r
+
+
 def _in_arcs(graph):
-    """The graph's in-arcs as lists `(offsets, tails, probs)`: node v's
+    """The graph's in-arcs as arrays `(offsets, tails, probs)`: node v's
     in-arcs in input order come from `tails[offsets[v]:offsets[v + 1]]`
     with the matching arc probabilities."""
     offsets, arcs = graph.in_csr
-    return offsets.tolist(), graph.src[arcs].tolist(), graph.prob[arcs].tolist()
+    return offsets, graph.src[arcs], graph.prob[arcs]
 
 
-def _walk_influence(in_arcs, target, hops, first):
-    """Influence probability onto `target` for every node within `hops` reverse arcs.
+def _in_range(offsets, nodes):
+    """`(arcs, degree)`: the positions in `_in_arcs` of the in-arcs of
+    `nodes`, node by node, and each node's in-degree."""
+    lo = offsets[nodes]
+    degree = offsets[nodes + 1] - lo
+    return _ranges(lo, degree), degree
 
-    Combines walks independently: the probability that a source reaches a
-    node is one minus the product, over the node's in-neighbors, of the
-    complement of (probability the source reaches the in-neighbor) times the
-    arc probability. Recursion is bounded by the hop budget, with the source
-    itself as the certain base case. Walks sharing arcs are treated as
-    independent, so on graphs with overlapping paths this overestimates;
-    it is exact when all source-target paths are arc-disjoint.
 
-    `in_arcs` is the graph's in-arc triple from `_in_arcs`. `first` maps a
-    node to its depth-1 walk and is filled here; it is the same for every
-    target, so callers scoring many targets pass one dict to all of them.
-    Deeper walks are memoized for this target only, and the top-level walk
-    is not stored at all.
+def _walk_entries(graph, hops):
+    """Upper bound, per node, on the (node, source) entries its hop walk
+    expands: the entries of each in-neighbor's walk one level down, plus
+    theirs, and so on. A walk holds at most n sources."""
+    n = graph.node_count
+    src, dst = graph.src, graph.dst
+    held = np.ones(n)  # walk of depth 0: the node alone
+    work = np.zeros(n)
+    for _ in range(hops):
+        work = np.bincount(dst, weights=held[src] + work[src], minlength=n)
+        held = np.minimum(n, 1.0 + np.bincount(dst, weights=held[src], minlength=n))
+    return work
+
+
+def _level(in_arcs, nodes, below, top):
+    """Walks of `nodes` one level above the walks `below`.
+
+    A level's walks are `(nodes, offsets, sources, probs)`: node
+    `nodes[i]` is reached from `sources[offsets[i]:offsets[i + 1]]`, in
+    ascending id, with the matching probabilities. `below` must hold every
+    in-neighbor of `nodes`, in ascending id.
+
+    For each (node, source) pair, the survival factors `1 - q * p_arc` of
+    the node's in-arcs, in in-arc order, are multiplied into a running
+    product that starts at 1.0, one rank of every pair per vectorised step:
+    the same IEEE operations in the same order as a loop over the arcs. The
+    probability is one minus the product. A node's own entry is 1.0, or, at
+    the `top` level, dropped.
     """
     offsets, tails, probs = in_arcs
-    memo = {}
+    n = len(offsets) - 1
+    under, under_off, under_src, under_p = below
+    row = np.empty(n, dtype=np.int64)
+    row[under] = np.arange(len(under))
+    arc, degree = _in_range(offsets, nodes)
+    tail = row[tails[arc]]
+    lo = under_off[tail]
+    size = under_off[tail + 1] - lo
+    entry = _ranges(lo, size)
+    head = np.repeat(np.repeat(np.arange(len(nodes)), degree), size)
+    source = under_src[entry]
+    factor = 1.0 - under_p[entry] * np.repeat(probs[arc], size)
+    foreign = source != nodes[head]
+    head, source, factor = head[foreign], source[foreign], factor[foreign]
+    if not top:
+        # each node's own entry, as a lone factor 0.0: 1.0 - 0.0 is 1.0
+        head = np.concatenate([head, np.arange(len(nodes))])
+        source = np.concatenate([source, nodes])
+        factor = np.concatenate([factor, np.zeros(len(nodes))])
+    order, starts = _grouped(head * n + source)
+    factor = factor[order]
+    survive = np.ones(len(starts))
+    for groups, at in _ranks(starts, len(order)):
+        survive[groups] *= factor[at]
+    first = order[starts]
+    node_off = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(head[first], minlength=len(nodes)), out=node_off[1:])
+    return nodes, node_off, source[first], 1.0 - survive
 
-    def walk(node, budget):
-        if budget == 0:
-            return {node: 1.0}
-        cache, key = (first, node) if budget == 1 else (memo, (node, budget))
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = spread(node, budget)
-        return got
 
-    def spread(node, budget):
-        survive = {}
-        lo, hi = offsets[node], offsets[node + 1]
-        for nbr, p_arc in zip(tails[lo:hi], probs[lo:hi]):
-            for s, q in walk(nbr, budget - 1).items():
-                survive[s] = survive.get(s, 1.0) * (1.0 - q * p_arc)
-        out = {s: 1.0 - v for s, v in survive.items()}
-        out[node] = 1.0
-        return out
+def _walks(in_arcs, targets, hops):
+    """Walks of `targets` (in their order) within `hops` reverse arcs, each
+    without its target: the nodes each level needs are found top-down (the
+    targets, their in-neighbors, theirs, ...) and their walks are built
+    bottom-up with `_level`."""
+    offsets, tails, _ = in_arcs
+    levels = [targets]
+    for _ in range(hops):
+        needed = np.zeros(len(offsets) - 1, dtype=bool)
+        needed[tails[_in_range(offsets, levels[-1])[0]]] = True
+        levels.append(np.flatnonzero(needed))
+    ground = levels.pop()
+    walks = (ground, np.arange(len(ground) + 1), ground, np.ones(len(ground)))
+    while levels:
+        nodes = levels.pop()
+        walks = _level(in_arcs, nodes, walks, top=not levels)
+    return walks
 
-    result = spread(target, hops)
-    del result[target]
-    return result
+
+def _batches(targets, entries):
+    """Split `targets`, in order, into runs whose `entries` sum to at most
+    `_BATCH_ENTRIES`, every run holding at least one target."""
+    cap = _BATCH_ENTRIES
+    first, held = 0, 0.0
+    for i, e in enumerate(entries.tolist()):
+        if i > first and held + e > cap:
+            yield targets[first:i]
+            first, held = i, 0.0
+        held += e
+    if first < len(targets):
+        yield targets[first:]
 
 
 def compute_scores(graph, economics, config):
@@ -110,23 +218,28 @@ def compute_scores(graph, economics, config):
     P(node influences target) * target benefit to each node in its hop
     neighborhood whose influence probability clears the cutoff. Finally all
     values are divided by selection cost. A node gets at most one
-    contribution per target and targets are processed in ascending id, so
-    each node's accumulation order is deterministic.
+    contribution per target and the contributions are added in ascending
+    target order, so each node's accumulation order is deterministic.
+
+    Targets are scored in ascending-id batches (`_batches`), each batch's
+    walks at once (`_walks`).
     """
     graph.require_probabilities()
     if economics.node_count != graph.node_count:
         raise ValueError("economics sized for a different graph")
-    eb = economics.benefit.astype(np.float64).tolist()
-    benefit = economics.benefit
-    cutoff = config.cutoff
     in_arcs = _in_arcs(graph)
-    first = {}
-    for t in economics.targets.tolist():
-        bt = float(benefit[t])
-        for w, p in _walk_influence(in_arcs, t, config.hops, first).items():
-            if p >= cutoff:
-                eb[w] += p * bt
-    eb = np.array(eb, dtype=np.float64)
+    benefit = economics.benefit.astype(np.float64)
+    eb = benefit.copy()
+    targets = economics.targets
+    for batch in _batches(targets, 1.0 + _walk_entries(graph, config.hops)[targets]):
+        _, node_off, source, p = _walks(in_arcs, batch, config.hops)
+        keep = p >= config.cutoff
+        gain = p[keep] * np.repeat(benefit[batch], np.diff(node_off))[keep]
+        # each source's gains, added one target at a time in ascending id
+        order, starts = _grouped(source[keep])
+        source, gain = source[keep][order[starts]], gain[order]
+        for groups, at in _ranks(starts, len(order)):
+            eb[source[groups]] += gain[at]
     score = eb / economics.cost
     return ScoreTable(expected_benefit=eb, score=score)
 

@@ -21,7 +21,7 @@ from ebmax.diffusion import (
 )
 from ebmax.graph import _MAX_NODE_ID, GraphParseError, NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
-from ebmax.hop import _check_hops, _in_arcs, _walk_influence
+from ebmax.hop import _check_hops, _in_arcs, _walks
 
 
 def make_graph(n, arcs, directed=True, *, original_ids=None):
@@ -456,7 +456,7 @@ class ExactBenefitOracle:
 
 def influence_probability(graph, source, target, hops):
     """Hop-bounded probability that `source` influences `target`, from the
-    production walk (`hop._walk_influence`) for this one target.
+    production kernel (`hop._walks`) for this one target.
 
     Returns 0.0 when the source lies outside the reverse hop neighborhood,
     and 1.0 when the source is the target: a seed earns its own benefit.
@@ -466,7 +466,9 @@ def influence_probability(graph, source, target, hops):
     source, target = _query_nodes((source, target), (), graph.node_count)
     if source == target:
         return 1.0
-    return _walk_influence(_in_arcs(graph), target, hops, {}).get(source, 0.0)
+    _, _, sources, probs = _walks(_in_arcs(graph), np.array([target]), hops)
+    at = np.flatnonzero(sources == source)
+    return float(probs[at[0]]) if len(at) else 0.0
 
 
 def save_edge_list(graph, target):

@@ -110,6 +110,24 @@ class TestRunExperiment:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "4d5f409230a3b055c58d1d8141555cb4a99bf9ce49a09e2275dc726aea7803ca"
 
+    @pytest.mark.parametrize(
+        "hop_args, want",
+        [
+            (("--hop", "1", "--alpha", "0"), "ee931906dedd1ddbdb408ef097d59f606198f1067d16f387ded65d6458dfa72a"),
+            (("--hop", "3"), "43efeebab572a7bb26c64024e56b8a5b350f214f5e023f2d690f09fb3021c0f2"),
+        ],
+    )
+    def test_golden_hbh_csv_digest(self, tmp_path, hop_args, want):
+        # sha256 of an hbh-only sweep's CSV, recorded while hop scoring still
+        # walked each target's neighborhood through per-node dicts: a kernel
+        # that moves one score across a rank boundary changes the bytes
+        graph, out = tmp_path / "g.txt", tmp_path / "r.csv"
+        generate_synthetic("preferential", 300, 3, 5, str(graph))
+        assert cli_main(["run", "--graph", str(graph), "--prob", "uniform:0.2", "--econ", "degprop",
+                         "--budgets", "5,20,80", "--algos", "hbh", "--samples", "40", "--seed", "7",
+                         "--reps", "2", "--no-timing", "--out", str(out), *hop_args]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
     def test_unknown_algorithm_rejected(self, small_graph_file, tmp_path):
         config = quick_config(small_graph_file, str(tmp_path / "r.csv"), algorithms=("nope",))
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -611,8 +629,9 @@ class TestCli:
         assert not out.exists()
 
     def test_hop_count_beyond_the_limit_exit_code(self, tmp_path, capsys):
-        # each hop is two frames of the walk's recursion: a hop count of a
-        # million overflowed the stack on a graph with cycles and exited 3
+        # a hop count of a million once overflowed the scoring recursion on a
+        # graph with cycles and exited 3; now it would run a million level
+        # passes per batch, so the boundary refuses it
         graph = str(tmp_path / "g.txt")
         cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
                   "--seed", "0", "--out", graph])

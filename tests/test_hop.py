@@ -1,11 +1,21 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ebmax import hop
 from ebmax.diffusion import BenefitEstimator
+from ebmax.graph import (
+    AssignmentScheme,
+    SocialGraph,
+    UniformProbability,
+    assign_economics,
+    assign_probabilities,
+)
 from ebmax.hop import (
     HopConfig,
     compute_scores,
@@ -184,15 +194,106 @@ class TestComputeScores:
                 HopConfig(hops=bad)
         assert HopConfig(hops=np.int64(3)).hops == 3
 
-    @given(tangled_instances(), st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.1, 0.3]))
+    @given(tangled_instances(), st.sampled_from([1, 2, 3, 4, 6]), st.sampled_from([0.0, 0.1, 0.3]))
     def test_shared_walks_match_per_target_recursion_bit_for_bit(self, instance, hops, cutoff):
-        # depth-1 walks shared across targets must not change one float
+        # walks built a level at a time for a batch of targets must not
+        # change one float
         g, econ = instance
         config = HopConfig(hops=hops, cutoff=cutoff)
         table = compute_scores(g, econ, config)
         eb, score = reference_scores(g, econ, config)
         assert table.expected_benefit.tobytes() == eb.tobytes()
         assert table.score.tobytes() == score.tobytes()
+
+
+    @given(tangled_instances(), st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 40, math.inf]))
+    def test_batching_does_not_change_a_float(self, instance, hops, cap):
+        # cap 1 makes every target its own batch, inf puts them all in one
+        g, econ = instance
+        config = HopConfig(hops=hops, cutoff=0.1)
+        want = compute_scores(g, econ, config)
+        with mock.patch.object(hop, "_BATCH_ENTRIES", cap):
+            got = compute_scores(g, econ, config)
+        assert got.expected_benefit.tobytes() == want.expected_benefit.tobytes()
+        assert got.score.tobytes() == want.score.tobytes()
+
+    def test_batches_split_a_larger_graph_without_changing_a_float(self):
+        rng = np.random.default_rng(106)
+        g, econ = random_instance(rng, max_nodes=60, max_arcs=400)
+        config = HopConfig(hops=3, cutoff=0.05)
+        want = compute_scores(g, econ, config)
+        eb, score = reference_scores(g, econ, config)
+        assert want.expected_benefit.tobytes() == eb.tobytes()
+        for cap in (1, 100, math.inf):
+            with mock.patch.object(hop, "_BATCH_ENTRIES", cap):
+                got = compute_scores(g, econ, config)
+            assert got.expected_benefit.tobytes() == eb.tobytes()
+            assert got.score.tobytes() == score.tobytes()
+
+    def test_stable_sort_fallback_gives_the_same_floats(self):
+        # the argsort that stands in when composite sort keys would overflow
+        rng = np.random.default_rng(107)
+        g, econ = random_instance(rng, max_nodes=30, max_arcs=120)
+        config = HopConfig(hops=3, cutoff=0.0)
+        want = compute_scores(g, econ, config)
+        with mock.patch.object(hop, "_INT64_MAX", 0):
+            got = compute_scores(g, econ, config)
+        assert got.expected_benefit.tobytes() == want.expected_benefit.tobytes()
+
+    def test_targets_without_in_arcs_earn_only_their_own_benefit(self):
+        # 0 and 2 have no in-arcs; target 1 credits its in-neighbor 0
+        g = make_graph(4, [(0, 1, 0.5), (2, 3, 0.5)])
+        econ = make_economics(4, targets=[0, 1, 2], benefits={0: 3.0, 1: 4.0, 2: 5.0})
+        for hops in (1, 2, 4):
+            table = compute_scores(g, econ, HopConfig(hops=hops, cutoff=0.1))
+            assert table.expected_benefit.tolist() == [3.0 + 0.5 * 4.0, 4.0, 5.0, 0.0]
+
+    def test_arcless_graph_scores_own_benefit_over_cost(self):
+        g = make_graph(4, [])
+        econ = make_economics(4, targets=[0, 2], benefits={0: 3.0, 2: 5.0}, costs={2: 4.0})
+        for hops in (1, 3):
+            table = compute_scores(g, econ, HopConfig(hops=hops, cutoff=0.0))
+            assert table.expected_benefit.tolist() == [3.0, 0.0, 5.0, 0.0]
+            assert table.score.tolist() == [3.0, 0.0, 1.25, 0.0]
+
+    def test_hub_that_is_every_targets_only_in_neighbor(self):
+        # hub 0 is a target too; each other target's one in-arc is from the
+        # hub, so the hub gathers one gain per target, added in target order
+        probs = [0.3, 0.45, 0.7, 0.15, 0.9]
+        g = make_graph(6, [(0, t, p) for t, p in zip(range(1, 6), probs)])
+        benefits = {0: 1.7, 1: 1.1, 2: 7.3, 3: 3.3, 4: 9.7, 5: 4.1}
+        econ = make_economics(6, targets=list(range(6)), benefits=benefits)
+        want, backwards = benefits[0], benefits[0]
+        for t, p in zip(range(1, 6), probs):
+            want += p * benefits[t]
+        for t, p in zip(range(5, 0, -1), probs[::-1]):
+            backwards += p * benefits[t]
+        assert want != backwards  # so the order of the additions shows
+        for hops in (1, 2, 5):
+            for cap in (1, math.inf):
+                with mock.patch.object(hop, "_BATCH_ENTRIES", cap):
+                    table = compute_scores(g, econ, HopConfig(hops=hops, cutoff=0.0))
+                assert table.expected_benefit[0] == want
+                assert table.expected_benefit[1:].tolist() == [benefits[t] for t in range(1, 6)]
+
+    def test_scoring_peaks_under_fifteen_megabytes(self):
+        # a 10k-node, 75k-edge undirected graph at two hops: the batched
+        # kernel holds a cap's worth of entries, not a dict per (node, level)
+        rng = np.random.default_rng(0)
+        n, edges = 10_000, 75_000
+        u = rng.integers(0, n, size=edges)
+        v = (u + rng.integers(1, n, size=edges)) % n
+        src, dst = np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel()
+        g = SocialGraph(n, src, dst, np.zeros(2 * edges), directed=False)
+        g = assign_probabilities(g, UniformProbability(0.1), seed=1)
+        econ = assign_economics(g, AssignmentScheme(), seed=2)
+        tracemalloc.start()
+        try:
+            compute_scores(g, econ, HopConfig(hops=2, cutoff=0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, f"scoring peaks at {peak / 2**20:.1f} MB"
 
 
 class TestHopBasedSelect:
