@@ -14,9 +14,13 @@ from .harness import ALGORITHMS, ConfigError, ExperimentConfig, generate_synthet
 
 def _comma_floats(text):
     try:
-        return tuple(float(x) for x in text.split(",") if x)
+        values = tuple(float(x) for x in text.split(",") if x)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        # an empty config field means the default budgets; an empty flag is a mistake
+        raise argparse.ArgumentTypeError(f"names no budget, got {text!r}")
+    return values
 
 
 def _comma_names(text):

@@ -13,12 +13,16 @@ strongly connected components (the condensation that Ohsaka et al. use in
 *Pruned Monte-Carlo Simulations*, AAAI 2014). The estimator indexes each
 world as it is drawn and keeps only the masks, never the worlds.
 
-A world is a CSR layout of its live arcs only (`_csr_worlds`), built in numpy
-a chunk of worlds at a time; an arc into a non-target node with no live
-out-arc changes no mask and is dropped. The test suite's exact oracle for
-tiny graphs runs the same builder and kernel: it enumerates every live-arc
-subset as a world, weighted by its probability, and reads each node's target
-mask from the same per-world pass.
+Worlds are live-edge worlds in the sense of Kempe, Kleinberg & Tardos (KDD
+2003): world i keeps each arc independently with its probability, decided by
+its own stretch of one Philox stream, so it is the same world however the
+worlds are drawn. Each world's draws fill one reused float buffer and become
+one row of boolean keep flags; a chunk of such rows is then turned into CSR
+worlds of the live arcs only (`_csr_worlds`), built in numpy. An arc into a
+non-target node with no live out-arc changes no mask and is dropped. The
+test suite's exact oracle for tiny graphs runs the same builder and kernel:
+it enumerates every live-arc subset as a world, weighted by its probability,
+and reads each node's target mask from the same per-world pass.
 """
 
 from __future__ import annotations
@@ -33,21 +37,15 @@ from .graph import as_node_id
 # set-bit offsets of each byte value, for reading wide target masks a byte at a time
 _BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
 
+# A chunk of worlds holds about this many keep flags and per-node counts
+# together, so that neither the arcs nor the nodes of a large graph make its
+# CSR build large.
+_CHUNK_ENTRIES = 4 << 20
+
+
 # Philox draws come in 4-word blocks; per-sample offsets must stay aligned.
 def _sample_stride(arc_count):
     return ((arc_count + 3) // 4) * 4
-
-
-def _sample_rows(master_seed, first, count, arc_count):
-    """Uniform draws for samples [first, first+count): row i is a pure function
-    of (master_seed, first + i, arc position)."""
-    stride = _sample_stride(arc_count)
-    bit_gen = np.random.Philox(key=master_seed)
-    if stride:
-        bit_gen.advance(first * stride // 4)
-        rows = np.random.Generator(bit_gen).random((count, stride))
-        return rows[:, :arc_count]
-    return np.zeros((count, 0), dtype=np.float64)
 
 
 def _canonical_seeds(seeds, node_count):
@@ -202,11 +200,12 @@ def _csr_worlds(keep, graph, targets):
 def _csr_arrays(keep, graph, targets):
     """(roots, heads, offsets, root starts, head starts) of a chunk of worlds.
 
-    A function of its own so that its temporaries are freed, and worked in
-    place where they can be, before any world is converted: the heap that
-    holds them is not given back under the lists built after them. Built
-    out of place and kept alive through the conversion, they raised the
-    peak RSS of the pa2k-mc benchmark sweep from 48.2 to 50.0 MB.
+    A function of its own so that its temporaries are freed before any
+    world is converted, and worked in place where they can be: the heap
+    that holds them is not given back under the lists built after them.
+    Built out of place, they raised the median peak RSS of the benchmark
+    sweeps by 0.4 MB on pa2k-mc and 1.5 MB on er10k-hop (pa1k-tri-guard
+    unchanged).
     """
     count, n = len(keep), graph.node_count
     is_target = np.zeros(n, dtype=bool)
@@ -235,20 +234,29 @@ def _draw_worlds(graph, targets, master_seed, count, first=0):
     (`_csr_worlds`), pruned for the given target ids.
 
     World i keeps arc a when the Philox draw at (master_seed, i, a) falls
-    below the arc's probability, so a world does not depend on `first`,
-    `count` or how the draws are chunked. A chunk holds about 4M draws and
-    per-node counts together, so that neither the arcs nor the nodes of a
-    large graph make it large.
+    below the arc's probability: world i reads draws [i * stride, (i + 1) *
+    stride) of the key's one stream, stride being `_sample_stride` of the
+    arc count, so a world does not depend on `first`, `count` or how the
+    worlds are chunked. One world's draws at a time fill one reused float
+    buffer, and are compared into a row of one boolean keep block, which a
+    chunk of worlds reuses in turn; no chunk of floats is ever held.
     """
     graph.require_probabilities()
     if first < 0:
         raise ValueError("world index must be non-negative")
     m, n = graph.arc_count, graph.node_count
-    chunk = max(1, (4 << 20) // max(1, _sample_stride(m) + n))
-    stop = first + count
-    for lo in range(first, stop, chunk):
-        hi = min(lo + chunk, stop)
-        keep = _sample_rows(master_seed, lo, hi - lo, m) < graph.prob
+    stride = _sample_stride(m)
+    chunk = max(1, _CHUNK_ENTRIES // max(1, stride + n))
+    bit_gen = np.random.Philox(key=master_seed)
+    bit_gen.advance(first * stride // 4)
+    draw = np.random.Generator(bit_gen).random
+    draws = np.empty(stride)
+    block = np.empty((min(chunk, count), m), dtype=bool)
+    for lo in range(0, count, chunk):
+        keep = block[: min(chunk, count - lo)]
+        for row in keep:
+            draw(out=draws)
+            np.less(draws[:m], graph.prob, out=row)
         yield from _csr_worlds(keep, graph, targets)
 
 

@@ -13,7 +13,6 @@ from ebmax.diffusion import (
     _canonical_seeds,
     _csr_worlds,
     _query_nodes,
-    _sample_rows,
     _sample_stride,
     _target_bits,
     _target_masks,
@@ -137,6 +136,18 @@ def _build_adjacency(kept, src_list, dst_list):
         else:
             lst.append(dst_list[a])
     return adjacency
+
+
+def _sample_rows(master_seed, first, count, arc_count):
+    """Uniform draws for samples [first, first+count): row i is a pure function
+    of (master_seed, first + i, arc position)."""
+    stride = _sample_stride(arc_count)
+    bit_gen = np.random.Philox(key=master_seed)
+    if stride:
+        bit_gen.advance(first * stride // 4)
+        rows = np.random.Generator(bit_gen).random((count, stride))
+        return rows[:, :arc_count]
+    return np.zeros((count, 0), dtype=np.float64)
 
 
 def reference_draw_worlds(graph, master_seed, count, first=0):

@@ -25,6 +25,7 @@ from ebmax.graph import (
 )
 from ebmax.harness import (
     CSV_HEADER,
+    DEFAULT_BUDGETS_RANDOM,
     ConfigError,
     ExperimentConfig,
     derive_seed,
@@ -668,6 +669,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert named in err, err
             assert not out.exists()
+
+    def test_empty_budgets_exit_code(self, tmp_path):
+        # an empty --budgets once ran the 8 default budgets and exited 0; the
+        # config's empty budgets still mean the defaults
+        graph = str(tmp_path / "g.txt")
+        cli_main(["gen", "--kind", "random", "--nodes", "20", "--param", "3",
+                  "--seed", "0", "--out", graph])
+        out = tmp_path / "r.csv"
+        base = ["run", "--graph", graph, "--algos", "maxdeg", "--samples", "4", "--reps", "1",
+                "--out", str(out)]
+        for value in (",", "", ",,"):
+            code, err = run_cli(base + [f"--budgets={value}"])
+            assert code == 2, value
+            assert "--budgets" in err and "names no budget" in err, err
+            assert not out.exists()
+        rows = run_experiment(ExperimentConfig(graph_path=graph, algorithms=("maxdeg",), samples=4,
+                                               repetitions=1, output_path=str(out)))
+        assert len(rows) == len(DEFAULT_BUDGETS_RANDOM)
 
 
 class TestRunFlags:

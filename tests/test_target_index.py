@@ -5,33 +5,38 @@ benefits, and a few worlds; the Hypothesis profile is set in conftest.py.
 The references are `helpers._reach`, the search the estimator ran before every
 world was indexed as it is drawn, and the adjacency-dict worlds
 (`helpers.reference_draw_worlds`) with their own Tarjan pass
-(`helpers.reference_target_masks`), which the CSR worlds replaced.
+(`helpers.reference_target_masks`), which the CSR worlds replaced. The
+reference draw (`helpers._sample_rows`) holds a chunk's draws as one float
+block; `_draw_worlds` must give the same worlds through its reused buffers.
 """
 
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ebmax import diffusion
 from ebmax.diffusion import (
     BenefitEstimator,
     _bit_values,
     _csr_worlds,
     _draw_worlds,
-    _sample_rows,
+    _sample_stride,
     _target_bits,
     _target_masks,
 )
-from ebmax.graph import NodeEconomics
+from ebmax.graph import NodeEconomics, SocialGraph
 
 from helpers import (
     ExactBenefitOracle,
     _build_adjacency,
     _reach,
+    _sample_rows,
     make_economics,
     make_graph,
     reference_draw_worlds,
@@ -168,9 +173,9 @@ def test_arcs_into_non_target_sinks_are_dropped():
 
 
 def test_world_chunks_stay_small_on_many_nodes_and_few_arcs():
-    # a chunk holds about 4M draws and per-node counts together; without the
-    # node term all 64 worlds' counts (64 x 200k int64, over 100 MB) would be
-    # built at once
+    # a chunk holds about 4M keep flags and per-node counts together
+    # (`_CHUNK_ENTRIES`); without the node term all 64 worlds' counts
+    # (64 x 200k int64, over 100 MB) would be built at once
     graph = make_graph(200_000, [(0, 1, 1.0), (1, 2, 0.5)], True)
     tracemalloc.start()
     try:
@@ -181,6 +186,71 @@ def test_world_chunks_stay_small_on_many_nodes_and_few_arcs():
         tracemalloc.stop()
     assert len(roots) == 64 and all(r in ([], [0, 1]) for r in roots) and [0, 1] in roots
     assert peak < 64 * 2**20
+
+
+def test_worlds_hold_no_chunk_of_draws_on_many_arcs_and_few_nodes():
+    # a chunk here is 20 worlds of 200k arcs; their draws as one float64 block
+    # (about 32 MB) once set the peak. One world's draws (1.6 MB) and the
+    # chunk's keep flags (4 MB) are held now: the peak measured 7.5 MB
+    rng = np.random.default_rng(0)
+    n, m = 100, 200_000
+    src = rng.integers(0, n, m)
+    graph = SocialGraph(n, src, (src + rng.integers(1, n, m)) % n, np.full(m, 0.01))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _draw_worlds(graph, np.arange(0, n, 2), 0, count=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 64
+    assert peak < 16 * 2**20
+
+
+def reference_worlds(graph, targets, seed, count, first):
+    """The CSR worlds of the reference draw's keep rows."""
+    keep = _sample_rows(seed, first, count, graph.arc_count) < graph.prob
+    return list(_csr_worlds(keep, graph, targets))
+
+
+def draw_in_chunks(graph, targets, seed, count, first, per_chunk):
+    """`_draw_worlds` with `_CHUNK_ENTRIES` set so that a chunk holds
+    `per_chunk` worlds (None: the module's own bound)."""
+    entries = diffusion._CHUNK_ENTRIES
+    if per_chunk:
+        entries = per_chunk * (_sample_stride(graph.arc_count) + graph.node_count)
+    with mock.patch.object(diffusion, "_CHUNK_ENTRIES", entries):
+        return list(_draw_worlds(graph, targets, seed, count, first))
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, None])
+@pytest.mark.parametrize(
+    "arcs, directed",
+    [
+        ([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.7), (3, 0, 0.4), (0, 2, 0.9)], True),  # m % 4 == 1
+        ([(0, 1, 0.3), (1, 0, 0.3), (1, 2, 0.6), (2, 1, 0.6), (2, 3, 0.8), (3, 2, 0.8)], False),  # m % 4 == 2
+        ([(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5), (3, 1, 0.2)], True),  # m % 4 == 0
+        ([], True),  # arcless: stride 0, no draw
+    ],
+)
+def test_drawn_worlds_are_the_reference_draw(arcs, directed, per_chunk):
+    # a first world that is not a multiple of the chunk, and a count that
+    # spans several chunks, read the same stream positions as one draw
+    graph = make_graph(4, arcs, directed)
+    targets = np.array([1, 3])
+    for first, count in ((0, 1), (4, 10), (7, 3), (5, 0)):
+        expected = reference_worlds(graph, targets, 11, count, first)
+        assert draw_in_chunks(graph, targets, 11, count, first, per_chunk) == expected, (first, count)
+    # world i of a long draw is the world drawn alone at first=i
+    whole = draw_in_chunks(graph, targets, 11, 14, 0, per_chunk)
+    assert [draw_in_chunks(graph, targets, 11, 1, i, per_chunk)[0] for i in range(14)] == whole
+
+
+@given(instances(), st.integers(0, 40), st.integers(0, 9), st.sampled_from([1, 3, None]))
+@example(_instance(3, [], [1]), 5, 7, 3)
+def test_drawn_worlds_match_the_reference_on_random_graphs(instance, first, count, per_chunk):
+    graph, economics, _, seed = instance
+    expected = reference_worlds(graph, economics.targets, seed, count, first)
+    assert draw_in_chunks(graph, economics.targets, seed, count, first, per_chunk) == expected
 
 
 @given(instances(), st.data())
