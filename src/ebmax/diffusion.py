@@ -19,10 +19,16 @@ its own stretch of one Philox stream, so it is the same world however the
 worlds are drawn. Each world's draws fill one reused float buffer and become
 one row of boolean keep flags; a chunk of such rows is then turned into CSR
 worlds of the live arcs only (`_csr_worlds`), built in numpy. An arc into a
-non-target node with no live out-arc changes no mask and is dropped. The
-test suite's exact oracle for tiny graphs runs the same builder and kernel:
-it enumerates every live-arc subset as a world, weighted by its probability,
-and reads each node's target mask from the same per-world pass.
+non-target node with no live out-arc changes no mask and is dropped. Chains
+are contracted before the pass: a non-target with exactly one kept arc has
+its head's mask, so it loses its arc, arcs into it lead to the end of its
+chain, and it is listed as an alias that takes the end's mask, the same int,
+once the pass is done (`_csr_arrays` names the one case where a chain
+keeps its last node). So the Python pass walks a smaller world, and every
+mask, and every int two masks share, is what the pass over the whole world
+gives. The test suite's exact oracle for tiny graphs runs the same builder
+and kernel: it enumerates every live-arc subset as a world, weighted by its
+probability, and reads each node's target mask from the same per-world pass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ _BYTE_BITS = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)
 # together, so that neither the arcs nor the nodes of a large graph make its
 # CSR build large.
 _CHUNK_ENTRIES = 4 << 20
+# ... and about this many live arcs by their expected count, since the CSR
+# build's temporaries grow with those (several int64 arrays over them).
+_CHUNK_ARCS = 1 << 18
 
 
 # Philox draws come in 4-word blocks; per-sample offsets must stay aligned.
@@ -91,17 +100,19 @@ def _union(a, b):
 def _target_masks(world, bits):
     """Bitmask of the targets each node reaches in one world, indexed by node.
 
-    `world` is a CSR world `(roots, heads, offsets)` from `_csr_worlds`: node
-    v's live out-neighbours are `heads[offsets[v]:offsets[v + 1]]`, and
-    `roots` lists the nodes that have any. `bits[v]` is node v's own target
-    bit (0 for a non-target). One iterative Tarjan pass: strongly connected
-    components close sinks first, so when a component closes, the masks its
-    arcs lead out to are final, and its mask is their OR with its members'
-    bits. The members of a component share one int, as does a node whose mask
-    equals one it reaches. A node with no live out-arc is its own closed
-    component at once: it is never pushed, and its own bit is ORed in.
+    `world` is a CSR world `(roots, heads, offsets, aliases)` from
+    `_csr_worlds`: node v's kept out-neighbours are
+    `heads[offsets[v]:offsets[v + 1]]`, and the searches start from `roots`
+    in order. `bits[v]` is node v's own target bit (0 for a non-target). One
+    iterative Tarjan pass: strongly connected components close sinks first,
+    so when a component closes, the masks its arcs lead out to are final,
+    and its mask is their OR with its members' bits. The members of a
+    component share one int, as does a node whose mask equals one it
+    reaches. A node with no kept out-arc is its own closed component at
+    once: it is never pushed, and its own bit is ORed in. Then each alias
+    node takes its rep's mask, the same int.
     """
-    roots, heads, off = world
+    roots, heads, off, (nodes, reps) = world
     masks = list(bits)
     closed = len(bits) + 1  # DFS number given to a node once its component closes
     number = [0] * len(bits)  # DFS number from 1; 0 = not visited yet
@@ -146,6 +157,8 @@ def _target_masks(world, bits):
                     if low[v] < low[u]:
                         low[u] = low[v]
                     masks[u] = _union(masks[u], masks[v])
+    for v, rep in zip(nodes, reps):
+        masks[v] = masks[rep]
     return masks
 
 
@@ -179,54 +192,145 @@ def _target_bits(economics):
 # --- live-edge worlds ----------------------------------------------------------
 
 def _csr_worlds(keep, graph, targets):
-    """Yield one CSR world `(roots, heads, offsets)` of the graph per row of
-    the boolean `keep` matrix (worlds x arcs), as `_target_masks` reads it.
+    """Yield one CSR world `(roots, heads, offsets, aliases)` of the graph per
+    row of the boolean `keep` matrix (worlds x arcs), as `_target_masks`
+    reads it.
 
-    Only live arcs are handled. An arc into a non-target head that has no
-    live out-arc in its world is dropped: that head's mask is 0, so the arc
-    changes no mask. The heads are grouped by (world, source) in arc order;
-    `offsets` has node count + 1 entries, and `roots` lists the nodes with a
-    kept out-arc in ascending id. One world is converted to lists at a time.
+    Only live arcs are handled, and the world is contracted first
+    (`_csr_arrays`): a node whose mask is plainly another node's loses its
+    arcs and is listed in `aliases`, a pair of lists `(nodes, reps)`, so
+    that `_target_masks` copies `masks[rep]` into it. The heads are grouped
+    by (world, source) in arc order and `offsets` has node count + 1
+    entries. `roots` is the order the pass starts its searches in: the
+    nodes with a live out-arc in ascending id, each replaced by its rep if
+    it has one, and kept only if that node has a kept arc (repeats are
+    allowed). One world is converted to lists at a time.
     """
-    roots, heads, off, at_root, at_head = _csr_arrays(keep, graph, targets)
+    off, fields = _csr_arrays(keep, graph, targets)
     for i in range(len(keep)):
-        yield (
-            roots[at_root[i] : at_root[i + 1]].tolist(),
-            heads[at_head[i] : at_head[i + 1]].tolist(),
-            off[i].tolist(),
-        )
+        roots, heads, nodes, reps = (values[at[i] : at[i + 1]].tolist() for values, at in fields)
+        yield roots, heads, off[i].tolist(), (nodes, reps)
 
 
 def _csr_arrays(keep, graph, targets):
-    """(roots, heads, offsets, root starts, head starts) of a chunk of worlds.
+    """(offsets, [(roots, starts), (heads, starts), (alias nodes, starts),
+    (alias reps, starts)]) of a chunk of worlds, each array holding every
+    world's values in turn and its starts list giving world i's slice.
+
+    An arc into a non-target head with no live out-arc in its world is
+    dropped: that head's mask is 0, so the arc changes no mask. Then chains
+    are contracted. A chain node is a non-target with exactly one kept arc,
+    so its mask is its head's mask; following heads through chain nodes
+    leads to the chain's end (a target, or a node with no kept arc or with
+    two or more), found by pointer jumping over the chunk's chain nodes.
+    Every chain node is an alias of its end, its arc is dropped, and an arc
+    into it is redirected to the end. Chain nodes that lead only round a
+    cycle of chain nodes reach no target: they keep mask 0, and arcs into
+    them are dropped.
+
+    One exception keeps every mask the same int object as in the pass over
+    the uncontracted world (the ints are shared, which the index's memory
+    rests on, and which int a component's mask is depends on the order of
+    the pass's unions). Where the chain nodes that lead into the end
+    through the same last chain node are entered by an arc from outside
+    them, and the end has a kept arc, they may lie on a cycle through the
+    end. Then the search could meet one of them while it is still open,
+    with mask 0, and union 0 where the end would give its partial mask. So
+    there that last chain node stays, with its one arc, and the others of
+    its branch become aliases of it instead.
 
     A function of its own so that its temporaries are freed before any
     world is converted, and worked in place where they can be: the heap
     that holds them is not given back under the lists built after them.
-    Built out of place, they raised the median peak RSS of the benchmark
-    sweeps by 0.4 MB on pa2k-mc and 1.5 MB on er10k-hop (pa1k-tri-guard
-    unchanged).
+    Built out of place, they raised the peak RSS of single runs of the
+    benchmark sweeps by 0.3 MB on pa2k-mc and 2.6 MB on er10k-hop.
     """
     count, n = len(keep), graph.node_count
+    width = n + 1  # key of (world w, node v) is w * width + 1 + v: column 0 of a world stays empty
     is_target = np.zeros(n, dtype=bool)
     is_target[targets] = True
     base, arc = np.divmod(np.flatnonzero(keep), max(1, keep.shape[1]))
-    base *= n + 1  # key of (world w, node v) is w * (n + 1) + 1 + v: column 0 of a world stays empty
+    base *= width
     base += 1
-    key, heads = graph.src[arc] + base, graph.dst[arc]
-    has_out = np.zeros(count * (n + 1), dtype=bool)
-    has_out[key] = True
+    key = graph.src[arc]
+    key += base
+    heads = graph.dst[arc]
+    del arc
+    flag = np.zeros(count * width, dtype=bool)  # by key: has a live arc; later, is a chain node
+    flag[key] = True
     base += heads  # now the key of each arc's head
-    live = np.flatnonzero(has_out[base] | is_target[heads])
-    live = live[np.argsort(key[live], kind="stable")]
-    key, heads = key[live], heads[live]
-    off = np.bincount(key, minlength=count * (n + 1)).reshape(count, n + 1)
+    roots = np.flatnonzero(flag)  # nodes with a live arc: the start order (filtered below)
+    live = np.flatnonzero(flag[base] | is_target[heads])
+    del heads
+    key = key[live]  # in (world, arc) order
+    head = base[live]
+    del live, base
+    index = np.bincount(key, minlength=count * width)  # kept arcs per key, until it is reused
+    chain = np.flatnonzero(index == 1)
+    chain = chain[~is_target[chain % width - 1]]
+    flag[:] = False
+    flag[chain] = True
+    # chain nodes in (world, arc) order, with their head's key
+    chain_arc = np.flatnonzero(flag[key])
+    chain, nxt = key[chain_arc], head[chain_arc]
+    is_last = ~flag[nxt]  # the head is the chain's end
+    end_on = index[nxt] > 0  # and that end has a kept arc
+    index[chain] = np.arange(len(chain))  # from now on: a chain node's key -> its position
+    # last[i]: the last chain node on i's way to its end, by pointer jumping
+    # over the chain nodes that have not reached one; a way is shorter than
+    # n, and round k jumps 2^k steps, so what is still moving after
+    # n.bit_length() rounds runs round a cycle
+    last = np.arange(len(chain))
+    active = np.flatnonzero(~is_last)
+    last[active] = index[nxt[active]]
+    for _ in range(n.bit_length()):
+        if not len(active):
+            break
+        hop = last[active]
+        last[active] = jump = last[hop]
+        active = active[(jump != hop) & ~is_last[jump]]  # still moving, and not at a last node
+    resolved = is_last[last]  # the rest lead into a cycle of chain nodes
+    # arcs from outside the chain nodes into them
+    into = np.flatnonzero(flag[head])
+    into = into[~flag[key[into]]]
+    hit = index[head[into]]
+    stays = np.zeros(len(chain), dtype=bool)
+    stays[last[hit]] = True
+    stays &= is_last & end_on
+    rep = np.where(stays, chain, nxt)[last]
+    head[into] = rep[hit]
+    kept = np.ones(len(key), dtype=bool)
+    kept[chain_arc[~stays]] = False
+    kept[into[~resolved[hit]]] = False
+    key = key[kept]
+    head = head[kept]
+    del kept, into, hit, chain_arc, nxt
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = head[order]
+    del order
+    # each root stands for its rep; one that leads into a cycle, for
+    # itself, which has no kept arc now
+    rep[~resolved] = chain[~resolved]
+    index[roots] = np.arange(len(roots))
+    roots[index[chain]] = rep
+    del index
+    alias = np.flatnonzero(resolved & ~stays)
+    chain, rep = chain[alias], rep[alias]
+    off = np.bincount(key, minlength=count * width)
+    roots = roots[off[roots] > 0]
+    off = off.reshape(count, width)
     np.cumsum(off, axis=1, out=off)
-    sources = key[np.diff(key, prepend=-1) != 0]
-    bounds = np.arange(count + 1) * (n + 1)
-    at_root = np.searchsorted(sources, bounds).tolist()
-    at_head = np.searchsorted(key, bounds).tolist()
-    return sources % (n + 1) - 1, heads, off, at_root, at_head
+    # each array's world starts; roots and aliases are not in key order, but
+    # in world order. The heads' are found on their keys, since a division
+    # over every kept arc raised the peak RSS of er10k-hop by 4 MB
+    worlds = np.arange(count + 1)
+    at_head = np.searchsorted(key, worlds * width).tolist()
+    at_root, at_alias = (np.searchsorted(keys // width, worlds).tolist() for keys in (roots, chain))
+    for keys in (roots, head, chain, rep):
+        keys %= width
+        keys -= 1
+    return off, [(roots, at_root), (head, at_head), (chain, at_alias), (rep, at_alias)]
 
 
 def _draw_worlds(graph, targets, master_seed, count, first=0):
@@ -239,14 +343,16 @@ def _draw_worlds(graph, targets, master_seed, count, first=0):
     arc count, so a world does not depend on `first`, `count` or how the
     worlds are chunked. One world's draws at a time fill one reused float
     buffer, and are compared into a row of one boolean keep block, which a
-    chunk of worlds reuses in turn; no chunk of floats is ever held.
+    chunk of worlds reuses in turn; no chunk of floats is ever held. A
+    chunk's worlds are bounded by `_CHUNK_ENTRIES` and `_CHUNK_ARCS`.
     """
     graph.require_probabilities()
     if first < 0:
         raise ValueError("world index must be non-negative")
     m, n = graph.arc_count, graph.node_count
     stride = _sample_stride(m)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, stride + n))
+    live_arcs = max(1.0, float(graph.prob.sum()))  # expected per world
+    chunk = max(1, min(_CHUNK_ENTRIES // max(1, stride + n), int(_CHUNK_ARCS // live_arcs)))
     bit_gen = np.random.Philox(key=master_seed)
     bit_gen.advance(first * stride // 4)
     draw = np.random.Generator(bit_gen).random

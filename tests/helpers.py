@@ -233,6 +233,47 @@ def reference_target_masks(adjacency, bits):
     return masks
 
 
+def reference_contraction(adjacency, bits):
+    """The contracted CSR world `_csr_worlds` builds from one live world
+    (an adjacency dict), by plain loops over dicts: (roots, kept
+    out-neighbours by node, alias pairs sorted).
+
+    Arcs into non-target nodes with no live out-arc are dropped. A chain node
+    (no target, one kept arc) is an alias of its end, the first node that is
+    not one on the way along heads, reached through its last chain node;
+    arcs into it lead to the end, and its arc is dropped. The last chain node
+    of a branch that a non-chain node enters, and whose end has a kept arc,
+    keeps its arc instead, and the rest of its branch are aliases of it.
+    Chain nodes that lead round a cycle of chain nodes lose their arcs and
+    arcs into them. Roots: the nodes with a live arc in ascending id, each
+    replaced by its alias target, where that has a kept arc.
+    """
+    kept = {u: [d for d in out if bits[d] or d in adjacency] for u, out in adjacency.items()}
+    chain = {u: out[0] for u, out in kept.items() if len(out) == 1 and not bits[u]}
+    last = {}  # chain node -> the last chain node on its way, or None round a cycle
+    for v in chain:
+        u, seen = v, {v}
+        while chain[u] in chain:
+            u = chain[u]
+            if u in seen:
+                u = None
+                break
+            seen.add(u)
+        last[v] = u
+    entered = {last[d] for u, out in kept.items() if u not in chain for d in out if d in chain}
+    stays = {u for u in entered if u is not None and kept.get(chain[u])}
+    rep = {v: u if u in stays else chain[u] for v, u in last.items() if u is not None and v not in stays}
+    contracted = {}
+    for u, out in kept.items():
+        if u in chain and u not in stays:
+            continue
+        heads = [rep.get(d, d) for d in out if not (d in chain and last[d] is None)]
+        if heads:
+            contracted[u] = heads
+    roots = [rep.get(v, v) for v in sorted(adjacency)]
+    return [r for r in roots if r in contracted], contracted, sorted(rep.items())
+
+
 def _benefit_of(covered, target_set, target_benefit):
     return math.fsum(target_benefit[t] for t in covered & target_set)
 

@@ -23,14 +23,16 @@ class TestLiveEdgeSampling:
     def test_certain_edges_all_kept(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         assert list(reference_draw_worlds(g, master_seed=1, count=1)) == [{0: [1, 2], 1: [2]}]
-        # the same world in CSR: heads grouped by source in arc order
-        assert list(_draw_worlds(g, [2], master_seed=1, count=1)) == [([0, 1], [1, 2, 2], [0, 2, 3, 3])]
+        # the same world in CSR, heads grouped by source in arc order, with the
+        # chain node 1 (no target, one kept arc) contracted: its arc is dropped,
+        # 0's arc into it leads to its end, the target 2, and 1 is an alias of 2
+        assert list(_draw_worlds(g, [2], master_seed=1, count=1)) == [([0], [2, 2], [0, 2, 2, 2], ([1], [2]))]
 
     def test_vanishing_probability_keeps_nothing(self):
         # expected kept arcs over 1000 worlds = m * 1e-9 * 1000 ~ 3e-6
         g = make_graph(3, [(0, 1, 1e-9), (1, 2, 1e-9), (0, 2, 1e-9)])
         assert list(reference_draw_worlds(g, master_seed=2, count=1000)) == [{}] * 1000
-        assert list(_draw_worlds(g, [2], master_seed=2, count=1000)) == [([], [], [0, 0, 0, 0])] * 1000
+        assert list(_draw_worlds(g, [2], master_seed=2, count=1000)) == [([], [], [0, 0, 0, 0], ([], []))] * 1000
 
     def test_deterministic_per_seed_and_index(self):
         g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)])

@@ -8,8 +8,12 @@ world was indexed as it is drawn, and the adjacency-dict worlds
 (`helpers.reference_target_masks`), which the CSR worlds replaced. The
 reference draw (`helpers._sample_rows`) holds a chunk's draws as one float
 block; `_draw_worlds` must give the same worlds through its reused buffers.
+The CSR worlds have their chains contracted: `helpers.reference_contraction`
+builds the same contracted world with plain loops, and the masks must be the
+very int objects the reference pass gives on the uncontracted world.
 """
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -30,7 +34,17 @@ from ebmax.diffusion import (
     _target_bits,
     _target_masks,
 )
-from ebmax.graph import NodeEconomics, SocialGraph
+from ebmax.graph import (
+    AssignmentScheme,
+    NodeEconomics,
+    SocialGraph,
+    TrivalencyProbability,
+    UniformProbability,
+    assign_economics,
+    assign_probabilities,
+    load_edge_list,
+)
+from ebmax.harness import generate_synthetic
 
 from helpers import (
     ExactBenefitOracle,
@@ -39,6 +53,7 @@ from helpers import (
     _sample_rows,
     make_economics,
     make_graph,
+    reference_contraction,
     reference_draw_worlds,
     reference_target_masks,
 )
@@ -120,15 +135,18 @@ def test_masks_are_the_targets_each_node_reaches(instance):
     worlds = list(reference_draw_worlds(graph, seed, samples))
     keep = _sample_rows(seed, 0, samples, graph.arc_count) < graph.prob
     bits = target_bits(economics)
-    for world, (roots, heads, off) in zip(worlds, _csr_worlds(keep, graph, economics.targets)):
-        masks = _target_masks((roots, heads, off), bits)
+    for world, csr in zip(worlds, _csr_worlds(keep, graph, economics.targets)):
+        masks = _target_masks(csr, bits)
+        off, rep = csr[2], dict(zip(*csr[3]))
         for v in range(graph.node_count):
             reached = _reach(world, (v,))
             assert targets_of(masks[v], economics) == reached & economics.target_set
             for w in reached:
                 if v in _reach(world, (w,)):  # one component: one shared int
                     assert masks[w] is masks[v]
-            if off[v] == off[v + 1]:  # no kept out-arc: closed at once with its own bit
+            if v in rep:  # a contracted chain node: its rep's int
+                assert masks[v] is masks[rep[v]]
+            elif off[v] == off[v + 1]:  # no kept out-arc: closed at once with its own bit
                 assert masks[v] is bits[v]
         if cycle_feeds_sink(graph):
             # the sink is first met on the cycle's arc 2 -> 3, never pushed
@@ -154,12 +172,18 @@ def test_csr_masks_equal_the_reference_masks(instance):
     for row, world in zip(keep, worlds):
         adjacency = _build_adjacency(np.flatnonzero(row).tolist(), src, dst)
         assert _target_masks(world, bits) == reference_target_masks(adjacency, bits)
-        # CSR keeps each live arc into a target or a node with a live out-arc, in arc order
-        roots, heads, off = world
+        # CSR keeps each live arc into a target or a node with a live out-arc,
+        # in arc order, contracted as the plain-loop reference contracts it
+        roots, heads, off, aliases = world
         assert len(off) == n + 1 and off[0] == 0 and off[n] == len(heads)
-        assert roots == [v for v in range(n) if off[v] < off[v + 1]]
-        kept = {u: [d for d in out if bits[d] or d in adjacency] for u, out in adjacency.items()}
-        assert {u: heads[off[u] : off[u + 1]] for u in roots} == {u: out for u, out in kept.items() if out}
+        sources = {v for v in range(n) if off[v] < off[v + 1]}
+        assert set(roots) == sources
+        expected_roots, contracted, expected_aliases = reference_contraction(adjacency, bits)
+        assert roots == expected_roots
+        assert {u: heads[off[u] : off[u + 1]] for u in sources} == contracted
+        assert sorted(zip(*aliases)) == expected_aliases
+        # no kept arc leaves or enters an alias, and no alias stands for another
+        assert not set(aliases[0]) & (sources | set(heads) | set(aliases[1]))
 
 
 def test_arcs_into_non_target_sinks_are_dropped():
@@ -167,7 +191,7 @@ def test_arcs_into_non_target_sinks_are_dropped():
     graph, economics, _, _ = _instance(5, [(0, 1, 1.0), (2, 1, 1.0), (3, 4, 1.0)], [0, 3])
     bits = target_bits(economics)
     (world,) = _draw_worlds(graph, economics.targets, 0, count=1)
-    assert world == ([], [], [0] * 6)
+    assert world == ([], [], [0] * 6, ([], []))
     masks = _target_masks(world, bits)
     assert all(masks[v] is bits[v] for v in range(5))
 
@@ -179,12 +203,15 @@ def test_world_chunks_stay_small_on_many_nodes_and_few_arcs():
     graph = make_graph(200_000, [(0, 1, 1.0), (1, 2, 0.5)], True)
     tracemalloc.start()
     try:
-        # 0 -> 1 is kept only in the worlds where 1 -> 2 is live
-        roots = [world[0] for world in _draw_worlds(graph, np.array([2]), 0, count=64)]
+        # 0 -> 1 is kept only in the worlds where 1 -> 2 is live, and then
+        # 0 -> 1 -> 2 is a chain into the target 2, which has no arc: both
+        # chain nodes become aliases of 2, and no arc or root is left
+        worlds = [(world[:2], world[3]) for world in _draw_worlds(graph, np.array([2]), 0, count=64)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(roots) == 64 and all(r in ([], [0, 1]) for r in roots) and [0, 1] in roots
+    empty, contracted = (([], []), ([], [])), (([], []), ([0, 1], [2, 2]))
+    assert len(worlds) == 64 and all(w in (empty, contracted) for w in worlds) and contracted in worlds
     assert peak < 64 * 2**20
 
 
@@ -196,6 +223,47 @@ def test_worlds_hold_no_chunk_of_draws_on_many_arcs_and_few_nodes():
     n, m = 100, 200_000
     src = rng.integers(0, n, m)
     graph = SocialGraph(n, src, (src + rng.integers(1, n, m)) % n, np.full(m, 0.01))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _draw_worlds(graph, np.arange(0, n, 2), 0, count=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 64
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, nodes, param, scheme, digest, distinct",
+    [
+        ("preferential", 400, 3, UniformProbability(0.1),
+         "0b8c858269792a537a8eb7c28d4e47114241f80d347568b811597f2c063e8371", 4818),
+        ("random", 600, 8, TrivalencyProbability(),
+         "c38fa3e7fefa069ef41ce20dec5a582eb420f1c83fda4fad9fb3659a30f60f80", 2249),
+    ],
+)
+def test_golden_index(tmp_path, kind, nodes, param, scheme, digest, distinct):
+    # the sha256 of the index rows' repr pins every mask value; the count of
+    # distinct mask objects pins how the masks share ints, and so the index's
+    # memory (80 and 120 targets, so most masks lie outside the small-int cache)
+    path = tmp_path / "g.txt"
+    generate_synthetic(kind, nodes, param, 3, str(path))
+    graph = assign_probabilities(load_edge_list(str(path), directed=False), scheme, seed=5)
+    est = BenefitEstimator(graph, assign_economics(graph, AssignmentScheme(), seed=6), samples=200, master_seed=11)
+    assert hashlib.sha256(repr(est._rows).encode()).hexdigest() == digest
+    assert len({id(mask) for row in est._rows for mask in row}) == distinct
+
+
+def test_world_chunks_stay_small_on_many_live_arcs():
+    # at p 0.1 each world of this graph has about 20k live arcs. A chunk
+    # bounded by its keep flags alone is 20 worlds, and the CSR build's int64
+    # arrays over their 400k live arcs peaked at 26.9 MB (18.1 MB with chains
+    # contracted). A chunk also holds at most `_CHUNK_ARCS` expected live arcs:
+    # 13 worlds here, and the peak measured 12.4 MB
+    rng = np.random.default_rng(0)
+    n, m = 100, 200_000
+    src = rng.integers(0, n, m)
+    graph = SocialGraph(n, src, (src + rng.integers(1, n, m)) % n, np.full(m, 0.1))
     tracemalloc.start()
     try:
         count = sum(1 for _ in _draw_worlds(graph, np.arange(0, n, 2), 0, count=64))
@@ -220,6 +288,94 @@ def draw_in_chunks(graph, targets, seed, count, first, per_chunk):
         entries = per_chunk * (_sample_stride(graph.arc_count) + graph.node_count)
     with mock.patch.object(diffusion, "_CHUNK_ENTRIES", entries):
         return list(_draw_worlds(graph, targets, seed, count, first))
+
+
+def shared_ints(masks):
+    """The nodes grouped by the int object their mask is, in id order."""
+    groups = {}
+    for v, mask in enumerate(masks):
+        groups.setdefault(id(mask), []).append(v)
+    return sorted(groups.values())
+
+
+@st.composite
+def chain_instances(draw):
+    """(graph, economics, samples, master seed), rich in chain nodes (no
+    target, one live arc). Nodes 0-9 are isolated targets, so the targets
+    among the k <= 12 others take bits 10 and up, and every mask that holds
+    one lies outside CPython's small-int cache. Each of the others has one
+    arc, sometimes none or two; the arcs of up to two cycles of 2-5 of them
+    are added, so chains close into 2-cycles and longer cycles or run into
+    them, and few of them are targets, so chains end at targets, at nodes
+    with two arcs and at pruned sinks. One arc in five is uncertain."""
+    k = draw(st.integers(0, 12))
+    n, nodes = 10 + k, list(range(10, 10 + k))
+    arcs = set()
+    for v in nodes:
+        others = [u for u in nodes if u != v]
+        if others:
+            degree = draw(st.sampled_from([0, 1, 1, 1, 2]))
+            arcs |= {(v, u) for u in draw(st.lists(st.sampled_from(others), min_size=degree, max_size=degree))}
+    if k >= 2:
+        cycles = st.lists(st.sampled_from(nodes), min_size=2, max_size=min(5, k), unique=True)
+        for cycle in draw(st.lists(cycles, max_size=2)):
+            arcs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    arcs = draw(st.permutations(sorted(arcs)))  # arc order sets the order of each node's arcs
+    graph = make_graph(n, [(u, v, draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.5]))) for u, v in arcs], True)
+    targets = list(range(10)) + (sorted(draw(st.sets(st.sampled_from(nodes), max_size=k // 3))) if k else [])
+    benefit = np.zeros(n)
+    benefit[targets] = 1.0
+    economics = NodeEconomics(cost=np.ones(n), benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
+    return graph, economics, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+# a chain 10 -> 11 -> 12 whose end 12 reaches the target 13 first and then
+# 14, which enters the chain again at 11 while the search that came through
+# 11 is still open. The pass over the whole world unions 11's mask there,
+# still 0. Contracted into 12, 11 would give 12's partial mask (13's bit), 14
+# would build its mask as a fresh int, and the component {11, 12, 14} would
+# not share node 16's int as it does in the whole world. So 11 stays
+STAYING_LAST = _instance(
+    17,
+    [(10, 11, 1.0), (11, 12, 1.0), (12, 13, 1.0), (12, 14, 1.0), (14, 11, 1.0), (14, 15, 1.0), (14, 16, 1.0),
+     (16, 13, 1.0), (16, 15, 1.0)],
+    [*range(10), 13, 15],
+    samples=1,
+)
+
+
+@given(chain_instances(), st.sampled_from([1, 3, None]))
+@example(_instance(0, [], []), None)
+@example(STAYING_LAST, None)
+def test_contracted_chains_keep_every_mask_and_its_int(instance, per_chunk):
+    # worlds drawn in chunks of 1, 3 or all of them, so no chain crosses a
+    # world boundary, against the reference pass over the uncontracted world,
+    # searched from its nodes in ascending id as the pass did before chains
+    # were contracted: the same masks, each alias holding its rep's int, and
+    # the same nodes sharing one int
+    graph, economics, samples, seed = instance
+    bits = target_bits(economics)
+    src, dst = graph.src.tolist(), graph.dst.tolist()
+    keep = _sample_rows(seed, 0, samples, graph.arc_count) < graph.prob
+    worlds = draw_in_chunks(graph, economics.targets, seed, samples, 0, per_chunk)
+    assert len(worlds) == samples
+    for row, world in zip(keep, worlds):
+        adjacency = _build_adjacency(np.flatnonzero(row).tolist(), src, dst)
+        expected = reference_target_masks(dict(sorted(adjacency.items())), bits)
+        masks = _target_masks(world, bits)
+        assert masks == expected
+        assert all(masks[v] is masks[rep] for v, rep in zip(*world[3]))
+        assert shared_ints(masks) == shared_ints(expected)
+
+
+def test_a_branch_entered_on_a_cycle_keeps_its_last_chain_node():
+    graph, economics, _, _ = STAYING_LAST
+    (world,) = _draw_worlds(graph, economics.targets, 0, count=1)
+    # 10 is an alias of 11, whose arc into 12 stays; 14's arc into 11 is kept
+    assert world[3] == ([10], [11])
+    assert world[1][world[2][11] : world[2][12]] == [12] and 11 in world[1]
+    masks = _target_masks(world, target_bits(economics))
+    assert masks[10] is masks[11] is masks[12] is masks[14] is masks[16]
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, None])
