@@ -11,16 +11,9 @@ from .baselines import (
 )
 from .diffusion import BenefitEstimator
 from .graph import (
-    AssignmentScheme,
-    DegreeProportionalCosts,
     GraphParseError,
     NodeEconomics,
-    RandomBenefits,
-    RandomCosts,
     SocialGraph,
-    TrivalencyProbability,
-    UnitBenefits,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
     load_edge_list,
@@ -42,23 +35,16 @@ from .hop import (
 )
 
 __all__ = [
-    "AssignmentScheme",
     "BenefitEstimator",
-    "DegreeProportionalCosts",
     "ExperimentConfig",
     "GraphParseError",
     "HopConfig",
     "NodeEconomics",
-    "RandomBenefits",
-    "RandomCosts",
     "ResultRow",
     "ScoreTable",
     "SelectionResult",
     "SocialGraph",
     "TraceEntry",
-    "TrivalencyProbability",
-    "UnitBenefits",
-    "UniformProbability",
     "assign_economics",
     "assign_probabilities",
     "best_single_node",

@@ -80,19 +80,16 @@ def _discounted_select(graph, economics, budget, discount):
     return _commit_loop(economics, budget, pick, stop_on_zero_gain=False)
 
 
-def degree_discount_select(graph, economics, budget, p=None):
+def degree_discount_select(graph, economics, budget):
     """Degree-discount selection: a node with t seeded neighbors loses
-    2t + (d - t) * t * p from its original degree d.
-
-    `p` is the uniform propagation probability; when None the probability of
-    the triggering arc is used (its reverse arc when only that exists).
+    2t + (d - t) * t * p from its original degree d, p being the probability
+    of the triggering arc (its reverse arc when only that exists). Under a
+    uniform probability every arc carries the same p, as in Chen, Wang &
+    Yang's DegreeDiscountIC (KDD 2009).
     """
-    if p is not None and not (0.0 <= p <= 1.0):  # NaN fails both
-        raise ValueError(f"propagation probability p must lie in [0, 1], got {p}")
 
     def discount(d, t, arc_p):
-        prop = arc_p if p is None else p
-        return 2.0 * t + (d - t) * t * prop
+        return 2.0 * t + (d - t) * t * arc_p
 
     return _discounted_select(graph, economics, budget, discount)
 

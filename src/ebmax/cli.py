@@ -9,7 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALGORITHMS, ConfigError, ExperimentConfig, generate_synthetic, run_experiment
+from .harness import (
+    ALGORITHMS,
+    ECONOMICS_CODES,
+    ConfigError,
+    ExperimentConfig,
+    generate_synthetic,
+    run_experiment,
+)
 
 
 def _comma_floats(text):
@@ -45,7 +52,7 @@ def build_parser():
         dest="probability",
         help="uniform:P, trivalency, or file (the edge list's own probability column)",
     )
-    run.add_argument("--econ", dest="economics", choices=["random", "degprop"])
+    run.add_argument("--econ", dest="economics", choices=list(ECONOMICS_CODES))
     run.add_argument(
         "--target-frac", dest="target_fraction", type=float, help="fraction of nodes made targets"
     )

@@ -180,11 +180,10 @@ def _target_bits(economics):
     j-th target in ascending id order and 0 for a non-target; the j-th benefit is
     units[j] / scale, `scale` being the largest (power-of-two) denominator, so the
     sum of any targets' units / scale is exactly rounded, the float fsum gives."""
-    targets = economics.targets.tolist()
     bits = [0] * economics.node_count
-    for j, t in enumerate(targets):
+    for j, t in enumerate(economics.targets.tolist()):
         bits[t] = 1 << j
-    ratios = [economics.target_benefit[t].as_integer_ratio() for t in targets]
+    ratios = [b.as_integer_ratio() for b in economics.benefit[economics.targets].tolist()]
     scale = max((den for _, den in ratios), default=1)
     return bits, [num * (scale // den) for num, den in ratios], scale
 

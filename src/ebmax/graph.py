@@ -1,4 +1,5 @@
-"""Directed weighted graph model, edge-list I/O, and probability/cost/benefit assignment."""
+"""Directed weighted graph model, edge-list I/O, and the assignment of the
+run's probability and economics settings."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Floor applied to degree-proportional costs so isolated nodes keep a positive cost.
+# The paper's settings. MIN_COST floors degree-proportional costs, so that
+# isolated nodes keep a positive cost.
 MIN_COST = 1e-6
+# the three arc probabilities a trivalency draw picks from
+TRIVALENCY_LEVELS = (0.1, 0.01, 0.001)
+# random economics: costs uniform on the first interval, target benefits on the second
+RANDOM_COST_RANGE = (1.0, 50.0)
+RANDOM_BENEFIT_RANGE = (50.0, 100.0)
 
 _MAX_NODE_ID = np.iinfo(np.int64).max  # original ids are kept as int64
 # the most distinct ids whose edge keys `u * n + v` stay within int64
@@ -36,18 +43,24 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+def _stable_order(keys, bound):
+    """The positions of `keys`, non-negative ints below `bound`, sorted by
+    (key, position): what a stable argsort gives."""
+    m = len(keys)
+    if bound * m > _MAX_NODE_ID:  # the composite keys below would overflow int64
+        return np.argsort(keys, kind="stable")
+    # one plain sort of distinct composite keys, several times faster than a
+    # stable argsort
+    return np.sort(keys * m + np.arange(m)) % m
+
+
 def _arc_index(keys, n):
     """CSR index of arcs grouped by `keys`: `(offsets, arcs)` such that
     `arcs[offsets[v]:offsets[v + 1]]` are the arcs keyed v, in input order,
     which score accumulation relies on."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    m = len(keys)
-    if n * m > _MAX_NODE_ID:  # the composite keys below would overflow int64
-        return offsets, np.argsort(keys, kind="stable")
-    # arcs sorted by (key, arc id) through one plain sort of distinct composite
-    # keys, several times faster than a stable argsort
-    return offsets, np.sort(keys * m + np.arange(m)) % m
+    return offsets, _stable_order(keys, n)
 
 
 def _id_column(name, column):
@@ -196,88 +209,10 @@ class NodeEconomics:
         mask[self.targets] = True
         if np.any(self.benefit[~mask] != 0.0):
             raise ValueError("non-target nodes must carry zero benefit")
-        object.__setattr__(self, "target_set", frozenset(self.targets.tolist()))
-        # float benefits keyed by target id, used by the per-sample accumulators
-        object.__setattr__(
-            self, "target_benefit", {int(t): float(self.benefit[t]) for t in self.targets}
-        )
 
     @property
     def node_count(self):
         return len(self.cost)
-
-    @property
-    def total_benefit(self):
-        return math.fsum(self.target_benefit.values())
-
-
-# --- assignment schemes -----------------------------------------------------
-
-@dataclass(frozen=True)
-class UniformProbability:
-    """Every arc gets the same diffusion probability."""
-
-    p: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError("uniform probability must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class TrivalencyProbability:
-    """Each input edge draws its probability uniformly from three levels."""
-
-    values: tuple = (0.1, 0.01, 0.001)
-
-
-@dataclass(frozen=True)
-class RandomCosts:
-    lo: float = 1.0
-    hi: float = 50.0
-
-    def __post_init__(self):
-        if not (0.0 < self.lo <= self.hi):
-            raise ValueError("cost interval requires 0 < lo <= hi")
-
-
-@dataclass(frozen=True)
-class DegreeProportionalCosts:
-    """cost(u) = n * deg(u) / (2m), floored at min_cost for isolated nodes."""
-
-    min_cost: float = MIN_COST
-
-
-@dataclass(frozen=True)
-class RandomBenefits:
-    lo: float = 50.0
-    hi: float = 100.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi):
-            raise ValueError("benefit interval requires 0 <= lo <= hi")
-
-
-@dataclass(frozen=True)
-class UnitBenefits:
-    pass
-
-
-@dataclass(frozen=True)
-class AssignmentScheme:
-    """Bundle of cost and benefit schemes plus the target fraction."""
-
-    cost: object = RandomCosts()
-    benefit: object = RandomBenefits()
-    target_fraction: float = 0.2
-
-    def __post_init__(self):
-        if not (0.0 < self.target_fraction <= 1.0):
-            raise ValueError("target fraction must lie in (0, 1]")
-
-    def target_count(self, node_count):
-        """How many of `node_count` nodes become targets: floor(fraction * n)."""
-        return int(math.floor(self.target_fraction * node_count))
 
 
 # --- loading and serialization ----------------------------------------------
@@ -402,56 +337,57 @@ def load_edge_list(source, directed=True):
 
 # --- assignment operations ----------------------------------------------------
 
-def assign_probabilities(graph, scheme, seed=0):
-    """Return a copy of the graph with probabilities drawn per the scheme.
+def target_count(node_count, target_fraction):
+    """How many of `node_count` nodes become targets: floor(fraction * n)."""
+    if not (0.0 < target_fraction <= 1.0):  # NaN fails both
+        raise ValueError(f"target fraction must lie in (0, 1], got {target_fraction}")
+    return int(math.floor(target_fraction * node_count))
 
-    The trivalency draw happens once per input edge in arc order: once per
-    arc on a directed graph, once per adjacent mirror pair on an undirected
-    one. So the two arcs of an undirected edge share one value and results
-    are reproducible for a fixed seed.
+
+def assign_probabilities(graph, setting, seed=0):
+    """Return a copy of the graph whose arcs carry the probabilities of
+    `setting`: a float p in (0, 1] on every arc, or "trivalency".
+
+    The trivalency draw picks one of `TRIVALENCY_LEVELS` once per input edge
+    in arc order: once per arc on a directed graph, once per adjacent mirror
+    pair on an undirected one. So the two arcs of an undirected edge share
+    one value and results are reproducible for a fixed seed.
     """
-    if isinstance(scheme, UniformProbability):
-        prob = np.full(graph.arc_count, scheme.p, dtype=np.float64)
-        return graph.with_probabilities(prob)
-    if isinstance(scheme, TrivalencyProbability):
+    if setting == "trivalency":
         rng = np.random.default_rng(seed)
-        values = np.asarray(scheme.values, dtype=np.float64)
+        levels = np.array(TRIVALENCY_LEVELS)
         per_edge = 1 if graph.directed else 2
-        picks = rng.integers(0, len(values), size=graph.arc_count // per_edge)
-        prob = np.repeat(values[picks], per_edge)
-        return graph.with_probabilities(prob)
-    raise TypeError(f"unknown probability scheme {scheme!r}")
+        picks = rng.integers(0, len(levels), size=graph.arc_count // per_edge)
+        return graph.with_probabilities(np.repeat(levels[picks], per_edge))
+    if isinstance(setting, (str, bool)) or not (0.0 < setting <= 1.0):
+        raise ValueError(f"probability setting must be 'trivalency' or a float in (0, 1], got {setting!r}")
+    return graph.with_probabilities(np.full(graph.arc_count, setting, dtype=np.float64))
 
 
-def assign_economics(graph, scheme, seed=0):
-    """Draw targets, costs, and benefits for the graph per the scheme.
+def assign_economics(graph, setting, target_fraction, seed=0):
+    """Draw targets, costs and benefits for the graph under `setting`:
+    "random" (costs from `RANDOM_COST_RANGE`, benefits from
+    `RANDOM_BENEFIT_RANGE`) or "degprop" (degree-proportional costs,
+    n * deg(u) / (2m) floored at `MIN_COST`, and unit benefits).
 
     Draw order (targets, costs, benefits) is fixed so results are
     reproducible for a fixed seed.
     """
+    if setting not in ("random", "degprop"):
+        raise ValueError(f"economics setting must be 'random' or 'degprop', got {setting!r}")
     n = graph.node_count
+    k = target_count(n, target_fraction)
     rng = np.random.default_rng(seed)
-
-    k = scheme.target_count(n)
     targets = np.sort(rng.choice(n, size=k, replace=False)) if k else np.empty(0, dtype=np.int64)
 
-    if isinstance(scheme.cost, RandomCosts):
-        cost = rng.uniform(scheme.cost.lo, scheme.cost.hi, size=n)
-    elif isinstance(scheme.cost, DegreeProportionalCosts):
+    benefit = np.zeros(n, dtype=np.float64)
+    if setting == "random":
+        cost = rng.uniform(*RANDOM_COST_RANGE, size=n)
+        benefit[targets] = rng.uniform(*RANDOM_BENEFIT_RANGE, size=k)
+    else:
         m = graph.arc_count
         if m == 0:
             raise ValueError("degree-proportional costs need at least one arc")
-        cost = n * graph.degree.astype(np.float64) / (2.0 * m)
-        cost = np.maximum(cost, scheme.cost.min_cost)
-    else:
-        raise TypeError(f"unknown cost scheme {scheme.cost!r}")
-
-    benefit = np.zeros(n, dtype=np.float64)
-    if isinstance(scheme.benefit, RandomBenefits):
-        benefit[targets] = rng.uniform(scheme.benefit.lo, scheme.benefit.hi, size=k)
-    elif isinstance(scheme.benefit, UnitBenefits):
+        cost = np.maximum(n * graph.degree.astype(np.float64) / (2.0 * m), MIN_COST)
         benefit[targets] = 1.0
-    else:
-        raise TypeError(f"unknown benefit scheme {scheme.benefit!r}")
-
     return NodeEconomics(cost=cost, benefit=benefit, targets=targets)

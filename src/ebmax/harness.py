@@ -12,6 +12,8 @@ row's seeds before the next is built.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import os
 import time
@@ -21,23 +23,15 @@ import numpy as np
 
 from . import baselines, greedy, hop
 from .diffusion import BenefitEstimator
-from .graph import (
-    AssignmentScheme,
-    DegreeProportionalCosts,
-    RandomBenefits,
-    RandomCosts,
-    TrivalencyProbability,
-    UnitBenefits,
-    UniformProbability,
-    assign_economics,
-    assign_probabilities,
-    load_edge_list,
-)
+from .graph import assign_economics, assign_probabilities, load_edge_list, target_count
 
 CSV_HEADER = (
     "dataset,algorithm,prob_setting,cost_setting,budget,seed_count,"
     "spent,benefit_mean,benefit_std,eval_count,seconds"
 )
+
+# the CSV code of each --econ setting
+ECONOMICS_CODES = {"random": "R", "degprop": "D"}
 
 ALGORITHMS = ("igaag", "igaip", "hbh", "maxdeg", "degdis", "sindis")
 
@@ -95,10 +89,16 @@ class ResultRow:
     seconds: float
 
     def as_csv(self):
+        """The row as one CSV record without its line end. A field holding a
+        comma, a quote or a line break is quoted, as the CSV format needs.
+        The writer quotes a field holding a character of its line end, so
+        the record ends in both CR and LF, which are then cut off."""
+
         def num(x):
             return repr(float(x))
 
-        return ",".join(
+        record = io.StringIO()
+        csv.writer(record, lineterminator="\r\n").writerow(
             [
                 self.dataset,
                 self.algorithm,
@@ -113,24 +113,24 @@ class ResultRow:
                 num(self.seconds),
             ]
         )
+        return record.getvalue()[:-2]
 
 
 def _parse_probability(text):
-    """(scheme, CSV code); the scheme is None for "file", whose probabilities
-    are the edge list's own."""
+    """(setting, CSV code): the setting `assign_probabilities` takes, or None
+    for "file", whose probabilities are the edge list's own."""
     if text == "file":
         return None, "F"
     if text == "trivalency":
-        return TrivalencyProbability(), "T"
+        return text, "T"
     if text.startswith("uniform:"):
         try:
             p = float(text.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad probability setting --prob {text!r}") from None
-        try:
-            return UniformProbability(p), "U"
-        except ValueError as exc:
-            raise ConfigError(f"--prob {text!r}: {exc}") from None
+        if not (0.0 < p <= 1.0):  # NaN fails both
+            raise ConfigError(f"--prob {text!r}: uniform probability must lie in (0, 1]")
+        return p, "U"
     raise ConfigError(f"unknown probability setting --prob {text!r} (use uniform:P, trivalency or file)")
 
 
@@ -152,14 +152,6 @@ def _check_file_probabilities(graph, setting):
     )
 
 
-def _parse_economics(text):
-    if text == "random":
-        return RandomCosts(), RandomBenefits(), "R"
-    if text == "degprop":
-        return DegreeProportionalCosts(), UnitBenefits(), "D"
-    raise ConfigError(f"unknown economics setting {text!r} (use random or degprop)")
-
-
 def _validate(config):
     for name in config.algorithms:
         if name not in ALGORITHMS:
@@ -170,6 +162,8 @@ def _validate(config):
             raise ConfigError(f"{flag} lists {repeated[0]!r} more than once")
     if not config.algorithms:
         raise ConfigError("--algos names no algorithm")
+    if config.economics not in ECONOMICS_CODES:
+        raise ConfigError(f"unknown economics setting --econ {config.economics!r} (use random or degprop)")
     if config.samples < 1:
         raise ConfigError(f"sample count (--samples) must be at least 1, got {config.samples}")
     if config.repetitions < 1:
@@ -191,8 +185,7 @@ def run_experiment(config):
         raise ConfigError(f"--out {config.output_path}: not a file in an existing directory")
     if not os.access(out_dir, os.W_OK | os.X_OK):
         raise ConfigError(f"--out {config.output_path}: directory {out_dir} is not writable")
-    prob_scheme, prob_code = _parse_probability(config.probability)
-    cost_scheme, benefit_scheme, cost_code = _parse_economics(config.economics)
+    prob_setting, prob_code = _parse_probability(config.probability)
     try:
         hop_config = hop.HopConfig(hops=config.hops, cutoff=config.cutoff)
     except ValueError as exc:
@@ -216,23 +209,20 @@ def run_experiment(config):
             "pass --allow-igaag-large to force it"
         )
 
-    if prob_scheme is not None:
-        graph = assign_probabilities(graph, prob_scheme, seed=derive_seed(config.master_seed, _TAG_PROB))
-    scheme = AssignmentScheme(
-        cost=cost_scheme,
-        benefit=benefit_scheme,
-        target_fraction=config.target_fraction,
-    )
-    if scheme.target_count(graph.node_count) == 0:
+    if prob_setting is not None:
+        graph = assign_probabilities(graph, prob_setting, seed=derive_seed(config.master_seed, _TAG_PROB))
+    if target_count(graph.node_count, config.target_fraction) == 0:
         raise ConfigError(
             f"--target-frac {config.target_fraction} of {graph.node_count} nodes selects no "
             "targets, so every benefit would be 0"
         )
-    economics = assign_economics(graph, scheme, seed=derive_seed(config.master_seed, _TAG_ECON))
+    economics = assign_economics(
+        graph, config.economics, config.target_fraction, seed=derive_seed(config.master_seed, _TAG_ECON)
+    )
 
     budgets = tuple(config.budgets)
     if not budgets:
-        budgets = DEFAULT_BUDGETS_RANDOM if cost_code == "R" else DEFAULT_BUDGETS_DEGPROP
+        budgets = DEFAULT_BUDGETS_RANDOM if config.economics == "random" else DEFAULT_BUDGETS_DEGPROP
 
     # only the greedy selectors query worlds while they select
     selection_estimator = None
@@ -264,8 +254,7 @@ def run_experiment(config):
         if name == "maxdeg":
             return baselines.max_degree_select(graph, economics, budget)
         if name == "degdis":
-            p = prob_scheme.p if isinstance(prob_scheme, UniformProbability) else None
-            return baselines.degree_discount_select(graph, economics, budget, p=p)
+            return baselines.degree_discount_select(graph, economics, budget)
         if name == "sindis":
             return baselines.single_discount_select(graph, economics, budget)
         raise ConfigError(f"unknown algorithm {name!r}")
@@ -305,7 +294,7 @@ def run_experiment(config):
                 dataset=dataset,
                 algorithm=name,
                 prob_setting=prob_code,
-                cost_setting=cost_code,
+                cost_setting=ECONOMICS_CODES[config.economics],
                 budget=float(budget),
                 seed_count=len(result.seeds),
                 spent=result.spent,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _stable_order
 from .greedy import fill_by_rank
 
 
@@ -68,8 +69,6 @@ class ScoreTable:
 # whose own bound is larger is a batch by itself.
 _BATCH_ENTRIES = 50_000
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def _ranges(starts, lengths):
     """Concatenated `arange(s, s + l)` over the pairs of `starts`, `lengths`."""
@@ -80,12 +79,7 @@ def _ranges(starts, lengths):
 def _grouped(keys):
     """`(order, starts)`: `order` sorts the entries by (key, position), and
     `starts` marks where each run of equal keys begins in that order."""
-    m = len(keys)
-    if m and (int(keys.max()) + 1) * m > _INT64_MAX:  # composite keys would overflow int64
-        order = np.argsort(keys, kind="stable")
-    else:
-        # one plain sort of distinct composite keys, as graph._arc_index does
-        order = np.sort(keys * m + np.arange(m)) % m
+    order = _stable_order(keys, int(keys.max()) + 1 if len(keys) else 0)
     ordered = keys[order]
     return order, np.flatnonzero(np.diff(ordered, prepend=-1))
 

@@ -274,8 +274,13 @@ def reference_contraction(adjacency, bits):
     return [r for r in roots if r in contracted], contracted, sorted(rep.items())
 
 
-def _benefit_of(covered, target_set, target_benefit):
-    return math.fsum(target_benefit[t] for t in covered & target_set)
+def target_benefits(economics):
+    """{target id: benefit} as Python ints and floats; its keys are the target set."""
+    return dict(zip(economics.targets.tolist(), economics.benefit[economics.targets].tolist()))
+
+
+def _benefit_of(covered, target_benefit):
+    return math.fsum(target_benefit[t] for t in covered & target_benefit.keys())
 
 
 def reference_exact_benefit(graph, economics, seeds):
@@ -293,8 +298,7 @@ def reference_exact_benefit(graph, economics, seeds):
     src = graph.src.tolist()
     dst = graph.dst.tolist()
     prob = graph.prob.tolist()
-    tset = economics.target_set
-    tb = economics.target_benefit
+    tb = target_benefits(economics)
     terms = []
     for mask in range(1 << m):
         pr = 1.0
@@ -311,7 +315,7 @@ def reference_exact_benefit(graph, economics, seeds):
             else:
                 pr *= 1.0 - prob[a]
         covered = _reach(adjacency, key)
-        terms.append(pr * _benefit_of(covered, tset, tb))
+        terms.append(pr * _benefit_of(covered, tb))
     return math.fsum(terms)
 
 

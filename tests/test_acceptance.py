@@ -17,8 +17,6 @@ from ebmax.baselines import max_degree_select
 from ebmax.cli import main as cli_main
 from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
-    AssignmentScheme,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
     load_edge_list,
@@ -160,8 +158,8 @@ def test_criterion_5_lazy_equals_eager_with_fewer_evaluations(tmp_path):
             assert lazy.evaluations <= eager.evaluations
 
         graph = pa_graph(tmp_path, 1000, 3, seed=42)
-        graph = assign_probabilities(graph, UniformProbability(0.1), seed=1)
-        econ = assign_economics(graph, AssignmentScheme(), seed=2)
+        graph = assign_probabilities(graph, 0.1, seed=1)
+        econ = assign_economics(graph, "random", 0.2, seed=2)
         est_eager = BenefitEstimator(graph, econ, samples=50, master_seed=3)
         est_lazy = BenefitEstimator(graph, econ, samples=50, master_seed=3)
         budget = 150.0
@@ -205,12 +203,12 @@ def test_criterion_6_hop_influence_and_scores():
 def test_criterion_7_proposed_methods_dominate_max_degree(tmp_path):
     with criterion("7: IGAIP and HBH beat MAX_DEG mean held-out benefit at every budget"):
         graph = pa_graph(tmp_path, 2000, 3, seed=0)
-        graph = assign_probabilities(graph, UniformProbability(0.1), seed=derive_seed(0, 1))
+        graph = assign_probabilities(graph, 0.1, seed=derive_seed(0, 1))
         budgets = [200.0, 400.0, 800.0, 1600.0]
         hop_cfg = HopConfig(2, 0.1)
         totals = {(b, a): 0.0 for b in budgets for a in ("igaip", "hbh", "maxdeg")}
         for master in range(5):
-            econ = assign_economics(graph, AssignmentScheme(), seed=derive_seed(master, 2))
+            econ = assign_economics(graph, "random", 0.2, seed=derive_seed(master, 2))
             selector = BenefitEstimator(graph, econ, samples=120, master_seed=derive_seed(master, 3))
             heldout = BenefitEstimator(graph, econ, samples=400, master_seed=derive_seed(master, 4))
             for budget in budgets:
@@ -235,8 +233,8 @@ def test_criterion_8_hop_heuristic_scale_envelope(tmp_path):
         path = str(tmp_path / "big.txt")
         generate_synthetic("random", 50_000, 15.0, seed=7, path=path)
         graph = load_edge_list(path, directed=False)
-        graph = assign_probabilities(graph, UniformProbability(0.1), seed=1)
-        econ = assign_economics(graph, AssignmentScheme(), seed=2)
+        graph = assign_probabilities(graph, 0.1, seed=1)
+        econ = assign_economics(graph, "random", 0.2, seed=2)
         config = HopConfig(hops=2, cutoff=0.1)
         start = time.perf_counter()
         compute_scores(graph, econ, config)

@@ -62,7 +62,7 @@ class TestDegreeDiscount:
     def test_zero_seeded_neighbors_keeps_degree(self):
         g = undirected(4, [(0, 1), (2, 3)])
         econ = make_economics(4, targets=[0])
-        res = degree_discount_select(g, econ, 4.0, p=0.1)
+        res = degree_discount_select(g, econ, 4.0)
         # components are independent: first picks of each have full degree 1
         assert res.trace[0].gain == 1.0
 
@@ -72,18 +72,18 @@ class TestDegreeDiscount:
         # effective degree 0.8 (hand evaluation)
         g = undirected(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
         econ = make_economics(6, targets=[0], costs={2: 100.0, 3: 100.0, 4: 100.0, 5: 100.0})
-        res = degree_discount_select(g, econ, 2.0, p=0.1)
+        res = degree_discount_select(g, econ, 2.0)
         assert res.seeds == [0, 1]
         assert res.trace[1].gain == pytest.approx(0.8, abs=1e-12)
 
     def test_disconnected_stars_both_centers(self):
         g = undirected(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
         econ = make_economics(8, targets=[0])
-        res = degree_discount_select(g, econ, 2.0, p=0.1)
+        res = degree_discount_select(g, econ, 2.0)
         assert set(res.seeds) == {0, 4}
 
     def test_per_edge_probability_fallback(self):
-        # trivalency-style run: no uniform p, the triggering arc's value is used
+        # the triggering arc's probability is the discount's p
         g = undirected(3, [(0, 1), (0, 2)], p=0.01)
         econ = make_economics(3, targets=[0])
         res = degree_discount_select(g, econ, 3.0)
@@ -94,12 +94,7 @@ class TestDegreeDiscount:
         econ = make_economics(2, targets=[0])
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"got {bad}"):
-                degree_discount_select(g, econ, bad, p=0.1)
-        for bad_p in (math.nan, math.inf, -math.inf, -1.0, 5.0):
-            with pytest.raises(ValueError, match=f"p must lie in \\[0, 1\\], got {bad_p}"):
-                degree_discount_select(g, econ, 1.0, p=bad_p)
-        for edge_p in (0.0, 1.0):
-            assert degree_discount_select(g, econ, 1.0, p=edge_p).seeds == [0]
+                degree_discount_select(g, econ, bad)
 
 
 class TestSingleDiscount:
@@ -141,7 +136,7 @@ class TestSharedInvariants:
                 res = select(g, econ, budget)
                 assert res.spent <= budget + 1e-12
                 assert len(res.trace) == len(res.seeds)
-            res = degree_discount_select(g, econ, budget, p=0.1)
+            res = degree_discount_select(g, econ, budget)
             assert res.spent <= budget + 1e-12
 
     def test_large_budget_selects_everyone(self):
@@ -150,7 +145,7 @@ class TestSharedInvariants:
         budget = float(np.sum(econ.cost)) + 1.0
         for res in (
             max_degree_select(g, econ, budget),
-            degree_discount_select(g, econ, budget, p=0.1),
+            degree_discount_select(g, econ, budget),
             single_discount_select(g, econ, budget),
         ):
             assert sorted(res.seeds) == list(range(g.node_count))
@@ -160,7 +155,7 @@ class TestSharedInvariants:
         econ = make_economics(5, targets=[1], costs={0: 2.0, 3: 2.0})
         budget = 4.0
         ref = max_degree_select(g, econ, budget)
-        assert degree_discount_select(g, econ, budget, p=0.1).seeds == ref.seeds
+        assert degree_discount_select(g, econ, budget).seeds == ref.seeds
         assert single_discount_select(g, econ, budget).seeds == ref.seeds
 
     def test_discount_state_invariants(self, monkeypatch):
@@ -185,7 +180,7 @@ class TestSharedInvariants:
             return result
 
         monkeypatch.setattr(mod, "_discounted_select", spying)
-        mod.degree_discount_select(g, econ, 20.0, p=0.1)
+        mod.degree_discount_select(g, econ, 20.0)
         mod.single_discount_select(g, econ, 20.0)
         assert len(snapshots) == 2
         # gains recorded in the trace are the effective degrees at pick time;
@@ -241,7 +236,6 @@ def run_heuristics(graph, econ, budget):
     hop = HopConfig(2, 0.1)
     return {
         "maxdeg": max_degree_select(graph, econ, budget),
-        "degdis_p": degree_discount_select(graph, econ, budget, p=0.1),
         "degdis": degree_discount_select(graph, econ, budget),
         "sindis": single_discount_select(graph, econ, budget),
         "hbh": hop_based_select(graph, econ, hop, budget),
@@ -257,12 +251,6 @@ PINNED = {
             (0, 3.0, 4.0),
             (2, 3.0, 1.0),
             (5, 3.0, 0.0),
-        ]),
-        "degdis_p": (5.0, [
-            (0, 3.0, 4.0),
-            (5, 3.0, 3.0),
-            (1, -0.10000000000000009, 2.0),
-            (3, -0.10000000000000009, 1.0),
         ]),
         "degdis": (5.0, [
             (0, 3.0, 4.0),
@@ -298,15 +286,6 @@ PINNED = {
             (9, 2.0, 4.815812147909584),
             (0, 1.0, 1.4842940027000373),
             (4, 0.0, 0.9312208877587609),
-        ]),
-        "degdis_p": (12.068779112241241, [
-            (2, 6.0, 10.264069540729231),
-            (5, 2.0, 8.898259892795334),
-            (4, 0.0, 8.345186777854057),
-            (7, -0.10000000000000009, 6.942456519912579),
-            (8, -0.10000000000000009, 4.779543122202648),
-            (0, -1.0, 1.4480249769931013),
-            (9, -2.0, 0.9312208877587596),
         ]),
         "degdis": (12.27986600342275, [
             (2, 6.0, 10.264069540729231),
@@ -346,9 +325,9 @@ PINNED = {
 }
 
 STOP_REASONS = {
-    "tiny": dict.fromkeys(("degdis_p", "degdis", "sindis", "hbh", "hbh_skip"), "no_affordable")
+    "tiny": dict.fromkeys(("degdis", "sindis", "hbh", "hbh_skip"), "no_affordable")
     | {"maxdeg": "budget_exhausted"},
-    "random": dict.fromkeys(("maxdeg", "degdis_p", "degdis", "sindis", "hbh"), "no_affordable")
+    "random": dict.fromkeys(("maxdeg", "degdis", "sindis", "hbh"), "no_affordable")
     | {"hbh_skip": "zero_gain"},
 }
 

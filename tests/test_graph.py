@@ -11,18 +11,13 @@ from hypothesis import strategies as st
 import ebmax.graph as graph_mod
 
 from ebmax.graph import (
-    AssignmentScheme,
-    DegreeProportionalCosts,
     GraphParseError,
     NodeEconomics,
-    RandomCosts,
     SocialGraph,
-    TrivalencyProbability,
-    UnitBenefits,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
     load_edge_list,
+    target_count,
 )
 
 from helpers import make_graph, reference_load_edge_list, save_edge_list, tangled_instances
@@ -297,19 +292,19 @@ class TestSocialGraphInvariants:
 class TestAssignProbabilities:
     def test_uniform_default(self):
         g = load_text("0 1\n1 2\n0 2\n")
-        g2 = assign_probabilities(g, UniformProbability(0.1), seed=7)
+        g2 = assign_probabilities(g, 0.1, seed=7)
         assert np.all(g2.prob == 0.1)
         assert not g.probabilities_assigned  # original untouched
 
     def test_trivalency_membership(self):
         g = load_text("0 1\n1 2\n0 2\n")
-        g2 = assign_probabilities(g, TrivalencyProbability(), seed=3)
+        g2 = assign_probabilities(g, "trivalency", seed=3)
         assert set(g2.prob.tolist()) <= {0.1, 0.01, 0.001}
 
     def test_trivalency_deterministic(self):
         g = load_text("0 1\n1 2\n0 2\n2 3\n")
-        a = assign_probabilities(g, TrivalencyProbability(), seed=11)
-        b = assign_probabilities(g, TrivalencyProbability(), seed=11)
+        a = assign_probabilities(g, "trivalency", seed=11)
+        b = assign_probabilities(g, "trivalency", seed=11)
         assert np.array_equal(a.prob, b.prob)
 
     def test_trivalency_undirected_pairs_share_draw(self):
@@ -318,7 +313,7 @@ class TestAssignProbabilities:
         built = make_graph(3, [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.0), (2, 1, 0.0)], directed=False)
         for g in (loaded, built):
             for seed in range(6):
-                g2 = assign_probabilities(g, TrivalencyProbability(), seed=seed)
+                g2 = assign_probabilities(g, "trivalency", seed=seed)
                 for e in range(0, g2.arc_count, 2):
                     assert g2.prob[e] == g2.prob[e + 1]
 
@@ -339,10 +334,10 @@ class TestAssignProbabilities:
             g.with_probabilities([0.2, 0.3, 0.7, 0.7])
 
     def test_bad_uniform_probability(self):
-        with pytest.raises(ValueError):
-            UniformProbability(0.0)
-        with pytest.raises(ValueError):
-            UniformProbability(1.5)
+        g = load_text("0 1\n1 2\n")
+        for bad in (0.0, 1.5, math.nan, True, "uniform", "0.1"):
+            with pytest.raises(ValueError, match="'trivalency' or a float in"):
+                assign_probabilities(g, bad)
 
 
 class TestAssignEconomics:
@@ -350,16 +345,12 @@ class TestAssignEconomics:
         # directed 4-cycle: n=4, m=4 arcs, every node degree 2
         # hand evaluation: cost = 4 * 2 / (2 * 4) = 1.0
         g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1), (3, 0, 0.1)])
-        scheme = AssignmentScheme(cost=DegreeProportionalCosts(), benefit=UnitBenefits())
-        econ = assign_economics(g, scheme, seed=0)
+        econ = assign_economics(g, "degprop", 0.2, seed=0)
         assert np.allclose(econ.cost, 1.0)
 
     def test_unit_benefits(self):
         g = make_graph(5, [(0, 1, 0.5)])
-        scheme = AssignmentScheme(
-            cost=RandomCosts(), benefit=UnitBenefits(), target_fraction=0.4
-        )
-        econ = assign_economics(g, scheme, seed=1)
+        econ = assign_economics(g, "degprop", 0.4, seed=1)
         assert len(econ.targets) == 2
         mask = np.zeros(5, dtype=bool)
         mask[econ.targets] = True
@@ -369,32 +360,45 @@ class TestAssignEconomics:
     def test_target_count_is_floor(self):
         # floor(0.2 * 1005) = 201
         g = make_graph(1005, [(0, 1, 0.5)])
-        econ = assign_economics(g, AssignmentScheme(), seed=9)
-        assert len(econ.targets) == 201
+        econ = assign_economics(g, "random", 0.2, seed=9)
+        assert len(econ.targets) == target_count(1005, 0.2) == 201
 
     def test_random_ranges(self):
         g = make_graph(200, [(0, 1, 0.5)])
-        econ = assign_economics(g, AssignmentScheme(), seed=2)
+        econ = assign_economics(g, "random", 0.2, seed=2)
         assert np.all((econ.cost >= 1.0) & (econ.cost <= 50.0))
         tb = econ.benefit[econ.targets]
         assert np.all((tb >= 50.0) & (tb <= 100.0))
 
     def test_deterministic_per_seed(self):
         g = make_graph(30, [(i, i + 1, 0.1) for i in range(29)])
-        a = assign_economics(g, AssignmentScheme(), seed=4)
-        b = assign_economics(g, AssignmentScheme(), seed=4)
-        c = assign_economics(g, AssignmentScheme(), seed=5)
+        a = assign_economics(g, "random", 0.2, seed=4)
+        b = assign_economics(g, "random", 0.2, seed=4)
+        c = assign_economics(g, "random", 0.2, seed=5)
         assert np.array_equal(a.cost, b.cost)
         assert np.array_equal(a.benefit, b.benefit)
         assert np.array_equal(a.targets, b.targets)
         assert not np.array_equal(a.cost, c.cost)
 
+    def test_fraction_bounds(self):
+        g = make_graph(5, [(0, 1, 0.5)])
+        for bad in (0.0, 1.5, -0.2, math.nan):
+            with pytest.raises(ValueError, match="target fraction must lie in"):
+                target_count(5, bad)
+            with pytest.raises(ValueError, match="target fraction must lie in"):
+                assign_economics(g, "random", bad)
+
+    def test_unknown_setting(self):
+        g = make_graph(5, [(0, 1, 0.5)])
+        for bad in ("flat", "Random", None):
+            with pytest.raises(ValueError, match="'random' or 'degprop'"):
+                assign_economics(g, bad, 0.2)
+
     def test_isolated_node_cost_clamped(self):
         # node 2 is isolated: degree 0 would give cost 0, clamped instead
         g = make_graph(3, [(0, 1, 0.5)])
-        scheme = AssignmentScheme(cost=DegreeProportionalCosts(), benefit=UnitBenefits())
-        econ = assign_economics(g, scheme, seed=0)
-        assert econ.cost[2] == 1e-6
+        econ = assign_economics(g, "degprop", 0.2, seed=0)
+        assert econ.cost[2] == graph_mod.MIN_COST == 1e-6
         assert np.all(econ.cost > 0)
 
     def test_degree_proportional_costs_sum_to_n(self):
@@ -406,9 +410,8 @@ class TestAssignEconomics:
             mirrored.append((u, v, 0.1))
             mirrored.append((v, u, 0.1))
         undirected_graph = make_graph(20, mirrored, False)
-        scheme = AssignmentScheme(cost=DegreeProportionalCosts(), benefit=UnitBenefits())
         for g in (directed_graph, undirected_graph):
-            econ = assign_economics(g, scheme, seed=3)
+            econ = assign_economics(g, "degprop", 0.2, seed=3)
             assert abs(float(np.sum(econ.cost)) - 20.0) < 1e-9
 
 
@@ -451,22 +454,4 @@ class TestNodeEconomicsValidation:
         econ = NodeEconomics(
             cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1], dtype=object)
         )
-        assert econ.targets.tolist() == [1] and econ.total_benefit == 2.0
-
-    def test_total_benefit(self):
-        econ = NodeEconomics(
-            cost=np.ones(3), benefit=np.array([2.0, 0.0, 3.5]), targets=np.array([0, 2])
-        )
-        assert econ.total_benefit == 5.5
-
-
-class TestAssignmentSchemeValidation:
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            AssignmentScheme(target_fraction=0.0)
-        with pytest.raises(ValueError):
-            AssignmentScheme(target_fraction=1.5)
-
-    def test_cost_interval(self):
-        with pytest.raises(ValueError):
-            RandomCosts(lo=5.0, hi=2.0)
+        assert econ.targets.tolist() == [1] and econ.benefit[econ.targets].tolist() == [2.0]

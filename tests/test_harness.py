@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
 import math
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -17,8 +19,6 @@ from ebmax import cli, harness
 from ebmax.cli import main as cli_main
 from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
-    AssignmentScheme,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
     load_edge_list,
@@ -129,6 +129,31 @@ class TestRunExperiment:
                          "--reps", "2", "--no-timing", "--out", str(out), *hop_args]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
+    @pytest.mark.parametrize(
+        "kind, setting, directed, want",
+        [
+            ("preferential", "uniform:0.1", False, "535bab8b9673ca3220fe9cdaedc8447fcdba7fd0111dbe2542397a2ac62e15e5"),
+            ("preferential", "file", False, "6a25cd58302921683dee52cb4d92e914a3126311438d196af5c7d723e2ef79ae"),
+            ("random", "trivalency", True, "9b7d34c6da80fc967498c88c959f59049f17c933ff61161d04d776f670adbf47"),
+        ],
+    )
+    def test_golden_setting_csv_digest(self, tmp_path, kind, setting, directed, want):
+        # sha256 of a random-economics sweep under each probability setting,
+        # recorded while the settings were still dispatched through scheme
+        # classes: a change to an assignment draw, its order or the degdis
+        # discount under uniform:P changes the bytes
+        graph, out = tmp_path / "g.txt", tmp_path / "r.csv"
+        generate_synthetic(kind, 200, 3, 9, str(graph))
+        if setting == "file":  # a third column of probabilities 0.05 to 0.2
+            edges = [line.split() for line in graph.read_text().splitlines()[1:]]
+            graph.write_text("".join(f"{u} {v} {0.05 * (1 + (int(u) + int(v)) % 4)}\n" for u, v in edges))
+        flags = ["--directed"] if directed else []
+        assert cli_main(["run", "--graph", str(graph), "--prob", setting, "--econ", "random",
+                         "--budgets", "60,250", "--algos", "igaip,hbh,maxdeg,degdis,sindis",
+                         "--samples", "40", "--seed", "7", "--reps", "2", "--no-timing",
+                         "--out", str(out), *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
     def test_unknown_algorithm_rejected(self, small_graph_file, tmp_path):
         config = quick_config(small_graph_file, str(tmp_path / "r.csv"), algorithms=("nope",))
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -167,8 +192,8 @@ class TestRunExperiment:
         rows = run_experiment(config)
 
         graph = load_edge_list(small_graph_file, directed=False)
-        graph = assign_probabilities(graph, UniformProbability(0.2), seed=derive_seed(5, 1))
-        econ = assign_economics(graph, AssignmentScheme(), seed=derive_seed(5, 2))
+        graph = assign_probabilities(graph, 0.2, seed=derive_seed(5, 1))
+        econ = assign_economics(graph, "random", 0.2, seed=derive_seed(5, 2))
         from ebmax.baselines import max_degree_select
 
         res = max_degree_select(graph, econ, 40.0)
@@ -346,6 +371,19 @@ class TestRunExperiment:
         with pytest.raises(IsADirectoryError):
             write_csv(rows, str(blocked))
         assert not os.path.exists(f"{blocked}.tmp")
+
+    def test_csv_quotes_a_dataset_name_with_separators(self, small_graph_file, tmp_path):
+        # a graph file named with a comma once gave 12 fields under the 11-field header
+        name = 'my,"odd"\ngraph\rname'
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(Path(small_graph_file).read_text())
+        out = tmp_path / "r.csv"
+        run_experiment(quick_config(str(graph), str(out), algorithms=("maxdeg", "hbh")))
+        with open(out, newline="", encoding="utf-8") as handle:
+            records = list(csv.reader(handle))
+        assert records[0] == CSV_HEADER.split(",")
+        assert [len(record) for record in records] == [11] * 3
+        assert [record[0] for record in records[1:]] == [name, name]
 
     def test_csv_header_fixed(self, small_graph_file, tmp_path):
         out = str(tmp_path / "r.csv")
@@ -704,6 +742,17 @@ class TestRunFlags:
         [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         dests = {action.dest for action in subparsers.choices["run"]._actions} - {"help"}
         assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_readme_lists_the_run_flags(self):
+        # the README's flag list names each `run` flag at the head of a bullet
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\nFlags:\n", 1)[1].split("\nExit codes:", 1)[0]
+        documented = set()
+        for head in re.findall(r"^- ((?:`--[^`]*`(?:, )?)+)", section, flags=re.MULTILINE):
+            documented.update(re.findall(r"`(--[a-z-]+)", head))
+        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {flag for action in subparsers.choices["run"]._actions for flag in action.option_strings}
+        assert documented == flags - {"-h", "--help"}
 
     def test_flags_not_given_take_the_config_defaults(self, monkeypatch):
         config = self.config_of(monkeypatch, ["run", "--graph", "g", "--out", "o"])

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from ebmax import hop
 from ebmax.diffusion import BenefitEstimator
 from ebmax.graph import (
-    AssignmentScheme,
     SocialGraph,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
 )
@@ -236,7 +234,7 @@ class TestComputeScores:
         g, econ = random_instance(rng, max_nodes=30, max_arcs=120)
         config = HopConfig(hops=3, cutoff=0.0)
         want = compute_scores(g, econ, config)
-        with mock.patch.object(hop, "_INT64_MAX", 0):
+        with mock.patch("ebmax.graph._MAX_NODE_ID", 0):
             got = compute_scores(g, econ, config)
         assert got.expected_benefit.tobytes() == want.expected_benefit.tobytes()
 
@@ -285,8 +283,8 @@ class TestComputeScores:
         v = (u + rng.integers(1, n, size=edges)) % n
         src, dst = np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel()
         g = SocialGraph(n, src, dst, np.zeros(2 * edges), directed=False)
-        g = assign_probabilities(g, UniformProbability(0.1), seed=1)
-        econ = assign_economics(g, AssignmentScheme(), seed=2)
+        g = assign_probabilities(g, 0.1, seed=1)
+        econ = assign_economics(g, "random", 0.2, seed=2)
         tracemalloc.start()
         try:
             compute_scores(g, econ, HopConfig(hops=2, cutoff=0.1))
@@ -343,13 +341,7 @@ class TestHopBasedSelect:
 class TestAgreementWithGreedy:
     def test_hop_reaches_seventy_percent_of_guarded_greedy(self, tmp_path):
         # regression guard on two fixed small fixtures, not a general claim
-        from ebmax.graph import (
-            AssignmentScheme,
-            UniformProbability,
-            assign_economics,
-            assign_probabilities,
-            load_edge_list,
-        )
+        from ebmax.graph import assign_economics, assign_probabilities, load_edge_list
         from ebmax.greedy import modified_greedy_select
         from ebmax.harness import generate_synthetic
 
@@ -357,8 +349,8 @@ class TestAgreementWithGreedy:
             path = str(tmp_path / f"{kind}.txt")
             generate_synthetic(kind, n, param, seed=gseed, path=path)
             g = load_edge_list(path, directed=False)
-            g = assign_probabilities(g, UniformProbability(0.1), seed=1)
-            econ = assign_economics(g, AssignmentScheme(), seed=2)
+            g = assign_probabilities(g, 0.1, seed=1)
+            econ = assign_economics(g, "random", 0.2, seed=2)
             selector = BenefitEstimator(g, econ, samples=300, master_seed=3)
             heldout = BenefitEstimator(g, econ, samples=1000, master_seed=4)
             for budget in (60.0, 150.0):

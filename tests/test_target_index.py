@@ -35,11 +35,8 @@ from ebmax.diffusion import (
     _target_masks,
 )
 from ebmax.graph import (
-    AssignmentScheme,
     NodeEconomics,
     SocialGraph,
-    TrivalencyProbability,
-    UniformProbability,
     assign_economics,
     assign_probabilities,
     load_edge_list,
@@ -56,6 +53,7 @@ from helpers import (
     reference_contraction,
     reference_draw_worlds,
     reference_target_masks,
+    target_benefits,
 )
 
 probabilities = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
@@ -140,7 +138,7 @@ def test_masks_are_the_targets_each_node_reaches(instance):
         off, rep = csr[2], dict(zip(*csr[3]))
         for v in range(graph.node_count):
             reached = _reach(world, (v,))
-            assert targets_of(masks[v], economics) == reached & economics.target_set
+            assert targets_of(masks[v], economics) == reached & target_benefits(economics).keys()
             for w in reached:
                 if v in _reach(world, (w,)):  # one component: one shared int
                     assert masks[w] is masks[v]
@@ -234,22 +232,22 @@ def test_worlds_hold_no_chunk_of_draws_on_many_arcs_and_few_nodes():
 
 
 @pytest.mark.parametrize(
-    "kind, nodes, param, scheme, digest, distinct",
+    "kind, nodes, param, setting, digest, distinct",
     [
-        ("preferential", 400, 3, UniformProbability(0.1),
+        ("preferential", 400, 3, 0.1,
          "0b8c858269792a537a8eb7c28d4e47114241f80d347568b811597f2c063e8371", 4818),
-        ("random", 600, 8, TrivalencyProbability(),
+        ("random", 600, 8, "trivalency",
          "c38fa3e7fefa069ef41ce20dec5a582eb420f1c83fda4fad9fb3659a30f60f80", 2249),
     ],
 )
-def test_golden_index(tmp_path, kind, nodes, param, scheme, digest, distinct):
+def test_golden_index(tmp_path, kind, nodes, param, setting, digest, distinct):
     # the sha256 of the index rows' repr pins every mask value; the count of
     # distinct mask objects pins how the masks share ints, and so the index's
     # memory (80 and 120 targets, so most masks lie outside the small-int cache)
     path = tmp_path / "g.txt"
     generate_synthetic(kind, nodes, param, 3, str(path))
-    graph = assign_probabilities(load_edge_list(str(path), directed=False), scheme, seed=5)
-    est = BenefitEstimator(graph, assign_economics(graph, AssignmentScheme(), seed=6), samples=200, master_seed=11)
+    graph = assign_probabilities(load_edge_list(str(path), directed=False), setting, seed=5)
+    est = BenefitEstimator(graph, assign_economics(graph, "random", 0.2, seed=6), samples=200, master_seed=11)
     assert hashlib.sha256(repr(est._rows).encode()).hexdigest() == digest
     assert len({id(mask) for row in est._rows for mask in row}) == distinct
 
@@ -592,13 +590,13 @@ def test_per_sample_benefits_match_the_reference_search(instance, data):
     graph, economics, samples, seed = instance
     n = graph.node_count
     worlds = list(reference_draw_worlds(graph, seed, samples))
-    tset, tb = economics.target_set, economics.target_benefit
+    tb = target_benefits(economics)
     est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
     order = data.draw(st.permutations(range(n)))
     sets = [order[:size] for size in range(n + 1)]  # growing: coverage extended in place
     sets += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=1, max_size=4))
     for seeds in sets:
-        expected = [math.fsum([tb[t] for t in _reach(world, seeds) & tset]) for world in worlds]
+        expected = [math.fsum([tb[t] for t in _reach(world, seeds) & tb.keys()]) for world in worlds]
         assert est.per_sample_benefits(seeds).tolist() == expected
         assert est.estimate(seeds) == math.fsum(expected) / samples
 
