@@ -11,7 +11,11 @@ Every query is answered from a target-reach index: for every world, the
 bitmask of the targets each node reaches, built by one pass over the world's
 strongly connected components (the condensation that Ohsaka et al. use in
 *Pruned Monte-Carlo Simulations*, AAAI 2014). The estimator indexes each
-world as it is drawn and keeps only the masks, never the worlds.
+world as it is drawn and keeps only the masks, never the worlds. An
+estimator given the nodes it will be asked about (a held-out estimator: the
+union of the rows' seeds) starts each world's pass from those nodes only and
+keeps only their rows, so its index takes O(|nodes| x R) memory, not
+O(n x R); every mask it keeps has the value the full pass gives.
 
 Worlds are live-edge worlds in the sense of Kempe, Kleinberg & Tardos (KDD
 2003): world i keeps each arc independently with its probability, decided by
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -190,7 +195,7 @@ def _target_bits(economics):
 
 # --- live-edge worlds ----------------------------------------------------------
 
-def _csr_worlds(keep, graph, targets):
+def _csr_worlds(keep, graph, targets, wanted=None):
     """Yield one CSR world `(roots, heads, offsets, aliases)` of the graph per
     row of the boolean `keep` matrix (worlds x arcs), as `_target_masks`
     reads it.
@@ -204,14 +209,20 @@ def _csr_worlds(keep, graph, targets):
     nodes with a live out-arc in ascending id, each replaced by its rep if
     it has one, and kept only if that node has a kept arc (repeats are
     allowed). One world is converted to lists at a time.
+
+    Given `wanted`, a boolean array over the nodes, a root and an alias are
+    kept only if the node they came from is wanted. The pass then visits only
+    what the wanted nodes reach, and gives each of them its mask: Tarjan's
+    pass from any roots closes every component it visits with its exact mask.
+    Which int a mask is may differ from the pass over every root.
     """
-    off, fields = _csr_arrays(keep, graph, targets)
+    off, fields = _csr_arrays(keep, graph, targets, wanted)
     for i in range(len(keep)):
         roots, heads, nodes, reps = (values[at[i] : at[i + 1]].tolist() for values, at in fields)
         yield roots, heads, off[i].tolist(), (nodes, reps)
 
 
-def _csr_arrays(keep, graph, targets):
+def _csr_arrays(keep, graph, targets, wanted=None):
     """(offsets, [(roots, starts), (heads, starts), (alias nodes, starts),
     (alias reps, starts)]) of a chunk of worlds, each array holding every
     world's values in turn and its starts list giving world i's slice.
@@ -259,6 +270,8 @@ def _csr_arrays(keep, graph, targets):
     flag[key] = True
     base += heads  # now the key of each arc's head
     roots = np.flatnonzero(flag)  # nodes with a live arc: the start order (filtered below)
+    if wanted is not None:
+        wanted_root = wanted[roots % width - 1]  # by root, before it stands for its rep
     live = np.flatnonzero(flag[base] | is_target[heads])
     del heads
     key = key[live]  # in (world, arc) order
@@ -314,10 +327,16 @@ def _csr_arrays(keep, graph, targets):
     index[roots] = np.arange(len(roots))
     roots[index[chain]] = rep
     del index
-    alias = np.flatnonzero(resolved & ~stays)
+    alias = resolved & ~stays
+    if wanted is not None:
+        alias &= wanted[chain % width - 1]
+    alias = np.flatnonzero(alias)
     chain, rep = chain[alias], rep[alias]
     off = np.bincount(key, minlength=count * width)
-    roots = roots[off[roots] > 0]
+    started = off[roots] > 0
+    if wanted is not None:
+        started &= wanted_root
+    roots = roots[started]
     off = off.reshape(count, width)
     np.cumsum(off, axis=1, out=off)
     # each array's world starts; roots and aliases are not in key order, but
@@ -332,9 +351,10 @@ def _csr_arrays(keep, graph, targets):
     return off, [(roots, at_root), (head, at_head), (chain, at_alias), (rep, at_alias)]
 
 
-def _draw_worlds(graph, targets, master_seed, count, first=0):
+def _draw_worlds(graph, targets, master_seed, count, first=0, wanted=None):
     """Yield live-edge worlds first .. first+count-1 as CSR worlds
-    (`_csr_worlds`), pruned for the given target ids.
+    (`_csr_worlds`), pruned for the given target ids and, given `wanted`,
+    rooted at the wanted nodes.
 
     World i keeps arc a when the Philox draw at (master_seed, i, a) falls
     below the arc's probability: world i reads draws [i * stride, (i + 1) *
@@ -362,7 +382,7 @@ def _draw_worlds(graph, targets, master_seed, count, first=0):
         for row in keep:
             draw(out=draws)
             np.less(draws[:m], graph.prob, out=row)
-        yield from _csr_worlds(keep, graph, targets)
+        yield from _csr_worlds(keep, graph, targets, wanted)
 
 
 # --- Monte Carlo estimator ------------------------------------------------------
@@ -381,6 +401,14 @@ class BenefitEstimator:
     (bit j stands for the j-th target in ascending id order). The worlds
     themselves are not kept; every query reads the index.
 
+    Given `nodes`, the index holds the rows of those nodes only, and each
+    world's pass starts from them alone, so the index takes O(|nodes| x R)
+    memory, not O(n x R). Every query must then name indexed nodes only, as
+    seeds and as gain nodes; any other node raises a ValueError before the
+    query is charged or stored. A held-out estimator, which scores a known
+    list of seed sets, is built over their union. `nodes=None` (the default)
+    indexes every node.
+
     The coverage of the last seed set queried is kept, each world's benefit an
     exact int of `_target_bits` units, rounded once: the greedy selectors ask
     for the gains of many nodes against one seed set in one batch, and then
@@ -396,7 +424,7 @@ class BenefitEstimator:
     not, so it stays the count of a run from scratch.
     """
 
-    def __init__(self, graph, economics, samples=10000, master_seed=0):
+    def __init__(self, graph, economics, samples=10000, master_seed=0, nodes=None):
         if samples < 1:
             raise ValueError("sample count must be at least 1")
         if economics.node_count != graph.node_count:
@@ -411,9 +439,28 @@ class BenefitEstimator:
         self._last = None  # (key, uncovered masks, covered units, values, mean)
         self._gains = {}  # canonical seeds -> {node: marginal gain}
         self._estimates = {}  # canonical seeds of two or more -> mean benefit
-        # node -> its target mask in every world
-        worlds = _draw_worlds(graph, economics.targets, self.master_seed, self.samples)
-        self._rows = list(zip(*(_target_masks(world, bits) for world in worlds)))
+        wanted = None
+        if nodes is not None:
+            nodes = _canonical_seeds(nodes, graph.node_count)
+            wanted = np.zeros(graph.node_count, dtype=bool)
+            wanted[list(nodes)] = True
+        self.nodes = nodes
+        worlds = _draw_worlds(graph, economics.targets, self.master_seed, self.samples, wanted=wanted)
+        masks = (_target_masks(world, bits) for world in worlds)
+        # node -> its target mask in every world: a list over every node, or
+        # a dict over the given nodes
+        if nodes is None:
+            self._rows = list(zip(*masks))
+        else:
+            pick = itemgetter(*nodes) if len(nodes) > 1 else lambda world: tuple(world[v] for v in nodes)
+            self._rows = dict(zip(nodes, zip(*map(pick, masks))))
+
+    def _require_indexed(self, nodes):
+        """Raise a ValueError naming the first of `nodes` that the index of an
+        estimator built with `nodes` holds no row for."""
+        if not self._rows.keys() >= set(nodes):
+            u = next(u for u in nodes if u not in self._rows)
+            raise ValueError(f"node {u} is not indexed: this estimator holds the rows of {len(self.nodes)} nodes")
 
     def _coverage(self, key):
         """(key, uncovered target masks, covered units, values, mean), per world.
@@ -450,6 +497,8 @@ class BenefitEstimator:
     def estimate(self, seeds):
         """Mean earned benefit of the seed set over the fixed worlds."""
         key = _canonical_seeds(seeds, self.graph.node_count)
+        if self.nodes is not None:
+            self._require_indexed(key)
         self.evaluations += 1
         if len(key) == 1:
             # the total of the empty set is 0.0, so its gain table holds the same floats
@@ -458,11 +507,6 @@ class BenefitEstimator:
         if mean is None:
             mean = self._estimates[key] = self._coverage(key)[4]
         return mean
-
-    def per_sample_benefits(self, seeds):
-        """Per-world benefit values as a new array (for spread diagnostics)."""
-        key = _canonical_seeds(seeds, self.graph.node_count)
-        return np.array(self._coverage(key)[3], dtype=np.float64)
 
     def marginal_gain(self, seeds, u):
         """estimate(seeds + u) - estimate(seeds), read from the index."""
@@ -476,6 +520,8 @@ class BenefitEstimator:
         """
         key = _canonical_seeds(seeds, self.graph.node_count)
         nodes = _query_nodes(nodes, key, self.graph.node_count)
+        if self.nodes is not None:
+            self._require_indexed(key + tuple(nodes))
         self.evaluations += len(nodes)
         return self._memo_gains(key, nodes)
 

@@ -6,7 +6,10 @@ reproducible end to end and every algorithm inside a sweep sees identical
 inputs. Final benefits are always reported from held-out estimators whose
 samples are disjoint from the selection-time ones. Every row is selected
 first; then the held-out reps are built one at a time, each scoring every
-row's seeds before the next is built.
+row's seeds before the next is built. A held-out estimator indexes only the
+union of the rows' seeds, each world's pass rooted at them, so its memory is
+O(|union| x R), not O(n x R), and each row's value is the one the full index
+gives.
 """
 
 from __future__ import annotations
@@ -267,14 +270,17 @@ def run_experiment(config):
             selected.append((name, budget, result, time.perf_counter() - start))
     selection_estimator = None  # free its index before the held-out ones are built
 
-    # held-out evaluation after selection, one rep's estimator alive at a time
+    # held-out evaluation after selection, one rep's estimator alive at a
+    # time, indexing only the nodes that some row seeds
     finals = [[] for _ in selected]
+    seeded = {s for _, _, result, _ in selected for s in result.seeds}
     for r in range(config.repetitions):
         heldout = BenefitEstimator(
             graph,
             economics,
             samples=config.samples,
             master_seed=derive_seed(config.master_seed, _TAG_EVAL, r),
+            nodes=seeded,
         )
         for row_finals, (_, _, result, _) in zip(finals, selected):
             row_finals.append(heldout.estimate(result.seeds))

@@ -279,6 +279,13 @@ def target_benefits(economics):
     return dict(zip(economics.targets.tolist(), economics.benefit[economics.targets].tolist()))
 
 
+def per_sample_benefits(est, seeds):
+    """The estimator's per-world benefit values of the seed set, as a new
+    array: the values whose fsum over R is its estimate."""
+    key = _canonical_seeds(seeds, est.graph.node_count)
+    return np.array(est._coverage(key)[3], dtype=np.float64)
+
+
 def _benefit_of(covered, target_benefit):
     return math.fsum(target_benefit[t] for t in covered & target_benefit.keys())
 

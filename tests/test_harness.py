@@ -326,6 +326,55 @@ class TestRunExperiment:
         with open(shared, "rb") as a, open(fresh, "rb") as b:
             assert a.read() == b.read()
 
+    def test_a_rows_heldout_value_does_not_depend_on_the_other_rows(self, tmp_path, monkeypatch):
+        # a held-out estimator indexes the union of the sweep's seeds, so its
+        # pass starts from other roots in a sweep than in a run of one row;
+        # each row's mean and std must still be bit for bit those of its own
+        # run. Trivalency on a sparse random graph keeps cascades subcritical,
+        # where the rooted pass visits least of each world
+        indexed = []
+
+        class Spy(harness.BenefitEstimator):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("nodes") is not None:
+                    indexed.append(set(kwargs["nodes"]))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BenefitEstimator", Spy)
+        graph = str(tmp_path / "er.txt")
+        generate_synthetic("random", 400, 4, 3, graph)
+        config = dict(probability="trivalency", samples=40, repetitions=3)
+        budgets, algorithms = (30.0, 120.0), ("igaip", "hbh", "maxdeg", "degdis", "sindis")
+        sweep = run_experiment(quick_config(graph, str(tmp_path / "sweep.csv"), budgets=budgets,
+                                            algorithms=algorithms, **config))
+        union = indexed[0]
+        assert indexed == [union] * 3
+        for row in sweep:
+            indexed.clear()
+            (alone,) = run_experiment(quick_config(graph, str(tmp_path / "one.csv"), budgets=(row.budget,),
+                                                   algorithms=(row.algorithm,), **config))
+            assert len(indexed[0]) == row.seed_count < len(union) and indexed[0] <= union
+            assert alone == row, (row.algorithm, row.budget)
+            assert alone.benefit_mean.hex() == row.benefit_mean.hex()
+            assert alone.benefit_std.hex() == row.benefit_std.hex()
+
+    def test_a_sweep_of_empty_rows_writes_zero_benefits(self, tmp_path):
+        # a budget below every cost (random costs start at 1) leaves every row
+        # without seeds, so each held-out estimator is built over no nodes
+        graph = str(tmp_path / "g.txt")
+        generate_synthetic("preferential", 60, 2, 1, graph)
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--graph", graph, "--budgets", "0.5,0.9",
+                         "--algos", "igaip,hbh,maxdeg,degdis,sindis", "--samples", "20", "--reps", "2",
+                         "--seed", "3", "--no-timing", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 10
+        for row in rows:
+            assert (row["seed_count"], row["spent"]) == ("0", "0.0")
+            assert (row["benefit_mean"], row["benefit_std"]) == ("0.0", "0.0")
+
     def test_fairness_same_seeds_same_numbers(self, tmp_path):
         # on a one-edge graph maxdeg and sindis pick identical seed sets, so
         # their held-out numbers must agree exactly

@@ -50,9 +50,11 @@ from helpers import (
     _sample_rows,
     make_economics,
     make_graph,
+    per_sample_benefits,
     reference_contraction,
     reference_draw_worlds,
     reference_target_masks,
+    tangled_instances,
     target_benefits,
 )
 
@@ -513,7 +515,7 @@ def test_memoized_answers_are_the_answers_of_a_fresh_estimator(instance, data):
     for v in range(n):
         single = _exact(est.estimate((v,)))
         assert single == _exact(fresh().marginal_gains((), [v])[0])
-        assert single == _exact(math.fsum(fresh().per_sample_benefits((v,)).tolist()) / samples)
+        assert single == _exact(math.fsum(per_sample_benefits(fresh(), (v,)).tolist()) / samples)
 
 
 @st.composite
@@ -597,8 +599,64 @@ def test_per_sample_benefits_match_the_reference_search(instance, data):
     sets += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=1, max_size=4))
     for seeds in sets:
         expected = [math.fsum([tb[t] for t in _reach(world, seeds) & tb.keys()]) for world in worlds]
-        assert est.per_sample_benefits(seeds).tolist() == expected
+        assert per_sample_benefits(est, seeds).tolist() == expected
         assert est.estimate(seeds) == math.fsum(expected) / samples
+
+
+# a chain 0 -> 1 -> 2 into a node on the cycle 2 <-> 3, which also reaches
+# the target 4: 0 and 1 are aliases of 2, and 3 stays with its one arc
+ALIAS_ON_CYCLE = _instance(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0), (2, 4, 1.0)], [4])
+
+
+@given(
+    tangled_instances(),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sets(st.integers(0, 6)),
+    st.lists(st.sets(st.integers(0, 6)), max_size=4),
+)
+@example(STAYING_LAST[:2], 1, 5, {10, 14}, [{10}, {14}])
+@example(ALIAS_ON_CYCLE[:2], 3, 5, {0}, [])
+@example(TANGLED[:2], 3, 5, {1}, [])  # a target on the cycle
+@example(TANGLED[:2], 3, 5, {3, 5}, [{5}])  # a target sink and an isolated node
+@example(TANGLED[:2], 3, 5, set(), [])
+def test_rooted_rows_equal_the_full_index(instance, samples, seed, nodes, seed_sets):
+    # an index of some nodes starts each world's pass from them alone: every
+    # row it keeps holds the full index's values world by world (the ints
+    # may be other objects), and every estimate and gain over those nodes is
+    # the full estimator's, bit for bit
+    graph, economics = instance
+    nodes = sorted(v for v in nodes if v < graph.node_count)
+    full = BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
+    rooted = BenefitEstimator(graph, economics, samples=samples, master_seed=seed, nodes=nodes)
+    assert rooted.nodes == tuple(nodes)
+    assert rooted._rows == {v: full._rows[v] for v in nodes}
+    for seeds in ([], nodes, *([v] for v in nodes), *seed_sets):
+        seeds = [v for v in seeds if v in rooted._rows]
+        assert _exact(rooted.estimate(seeds)) == _exact(full.estimate(seeds))
+        rest = [v for v in nodes if v not in seeds]
+        assert _exact(rooted.marginal_gains(seeds, rest)) == _exact(full.marginal_gains(seeds, rest))
+
+
+def test_unindexed_nodes_are_refused_and_charge_nothing():
+    graph, economics, samples, seed = TANGLED
+    est = BenefitEstimator(graph, economics, samples=samples, master_seed=seed, nodes=[2, 0, 2, 6])
+    assert est.nodes == (0, 2, 6)
+    est.estimate([0, 2])
+    est.marginal_gains([0], [2, 6])
+    for call, named in (
+        (lambda: est.estimate([0, 3]), 3),
+        (lambda: est.estimate([1]), 1),
+        (lambda: est.marginal_gain([0], 4), 4),
+        (lambda: est.marginal_gain([5], 0), 5),
+        (lambda: est.marginal_gains([0], [2, 6, 1]), 1),
+        (lambda: est.marginal_gains([2, 3], [0]), 3),
+    ):
+        before, gains, estimates = est.evaluations, {k: dict(v) for k, v in est._gains.items()}, dict(est._estimates)
+        with pytest.raises(ValueError, match=f"node {named} is not indexed"):
+            call()
+        assert est.evaluations == before, named
+        assert {k: dict(v) for k, v in est._gains.items()} == gains and est._estimates == estimates, named
 
 
 @given(st.integers(min_value=0, max_value=2**300 - 1))
@@ -647,4 +705,4 @@ def test_three_cycle_feeding_a_sink_target():
     assert est.marginal_gain((), 5) == 0.0
     assert est.estimate([2]) == 7.0
     assert est.estimate([3, 5]) == 5.0
-    assert est.per_sample_benefits([1]).tolist() == [7.0, 7.0, 7.0]
+    assert per_sample_benefits(est, [1]).tolist() == [7.0, 7.0, 7.0]
