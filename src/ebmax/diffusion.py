@@ -27,12 +27,13 @@ non-target node with no live out-arc changes no mask and is dropped. Chains
 are contracted before the pass: a non-target with exactly one kept arc has
 its head's mask, so it loses its arc, arcs into it lead to the end of its
 chain, and it is listed as an alias that takes the end's mask, the same int,
-once the pass is done (`_csr_arrays` names the one case where a chain
-keeps its last node). So the Python pass walks a smaller world, and every
-mask, and every int two masks share, is what the pass over the whole world
-gives. The test suite's exact oracle for tiny graphs runs the same builder
-and kernel: it enumerates every live-arc subset as a world, weighted by its
-probability, and reads each node's target mask from the same per-world pass.
+once the pass is done. The pass starts from the nodes left with a kept arc,
+in ascending id. So the Python pass walks a smaller world; every mask has
+the value the pass over the whole world gives, and the members of a
+strongly connected component share one int. The test suite's exact oracle
+for tiny graphs runs the same builder and kernel: it enumerates every
+live-arc subset as a world, weighted by its probability, and reads each
+node's target mask from the same per-world pass.
 """
 
 from __future__ import annotations
@@ -205,15 +206,15 @@ def _csr_worlds(keep, graph, targets, wanted=None):
     arcs and is listed in `aliases`, a pair of lists `(nodes, reps)`, so
     that `_target_masks` copies `masks[rep]` into it. The heads are grouped
     by (world, source) in arc order and `offsets` has node count + 1
-    entries. `roots` is the order the pass starts its searches in: the
-    nodes with a live out-arc in ascending id, each replaced by its rep if
-    it has one, and kept only if that node has a kept arc (repeats are
-    allowed). One world is converted to lists at a time.
+    entries. `roots`, where the pass starts its searches, are the nodes
+    with a kept arc in ascending id. One world is converted to lists at a
+    time.
 
-    Given `wanted`, a boolean array over the nodes, a root and an alias are
-    kept only if the node they came from is wanted. The pass then visits only
-    what the wanted nodes reach, and gives each of them its mask: Tarjan's
-    pass from any roots closes every component it visits with its exact mask.
+    Given `wanted`, a boolean array over the nodes, an alias is kept only if
+    it is wanted, and the roots are the wanted nodes with a kept arc and the
+    reps of the wanted aliases that have one. The pass then visits only what
+    the wanted nodes reach, and gives each of them its mask: Tarjan's pass
+    from any roots closes every component it visits with its exact mask.
     Which int a mask is may differ from the pass over every root.
     """
     off, fields = _csr_arrays(keep, graph, targets, wanted)
@@ -234,20 +235,12 @@ def _csr_arrays(keep, graph, targets, wanted=None):
     leads to the chain's end (a target, or a node with no kept arc or with
     two or more), found by pointer jumping over the chunk's chain nodes.
     Every chain node is an alias of its end, its arc is dropped, and an arc
-    into it is redirected to the end. Chain nodes that lead only round a
-    cycle of chain nodes reach no target: they keep mask 0, and arcs into
-    them are dropped.
-
-    One exception keeps every mask the same int object as in the pass over
-    the uncontracted world (the ints are shared, which the index's memory
-    rests on, and which int a component's mask is depends on the order of
-    the pass's unions). Where the chain nodes that lead into the end
-    through the same last chain node are entered by an arc from outside
-    them, and the end has a kept arc, they may lie on a cycle through the
-    end. Then the search could meet one of them while it is still open,
-    with mask 0, and union 0 where the end would give its partial mask. So
-    there that last chain node stays, with its one arc, and the others of
-    its branch become aliases of it instead.
+    into it is redirected to the end, or dropped where the end is the arc's
+    own source, since a loop changes no mask. Chain nodes that lead only
+    round a cycle of chain nodes reach no target: they keep mask 0, and arcs
+    into them are dropped. The roots are the nodes left with a kept arc, in
+    ascending id; given `wanted`, only the wanted ones and the ends of the
+    wanted aliases.
 
     A function of its own so that its temporaries are freed before any
     world is converted, and worked in place where they can be: the heap
@@ -266,12 +259,10 @@ def _csr_arrays(keep, graph, targets, wanted=None):
     key += base
     heads = graph.dst[arc]
     del arc
-    flag = np.zeros(count * width, dtype=bool)  # by key: has a live arc; later, is a chain node
+    # by key: has a live arc; later, is a chain node; last, starts a search
+    flag = np.zeros(count * width, dtype=bool)
     flag[key] = True
     base += heads  # now the key of each arc's head
-    roots = np.flatnonzero(flag)  # nodes with a live arc: the start order (filtered below)
-    if wanted is not None:
-        wanted_root = wanted[roots % width - 1]  # by root, before it stands for its rep
     live = np.flatnonzero(flag[base] | is_target[heads])
     del heads
     key = key[live]  # in (world, arc) order
@@ -286,7 +277,6 @@ def _csr_arrays(keep, graph, targets, wanted=None):
     chain_arc = np.flatnonzero(flag[key])
     chain, nxt = key[chain_arc], head[chain_arc]
     is_last = ~flag[nxt]  # the head is the chain's end
-    end_on = index[nxt] > 0  # and that end has a kept arc
     index[chain] = np.arange(len(chain))  # from now on: a chain node's key -> its position
     # last[i]: the last chain node on i's way to its end, by pointer jumping
     # over the chain nodes that have not reached one; a way is shorter than
@@ -302,49 +292,45 @@ def _csr_arrays(keep, graph, targets, wanted=None):
         last[active] = jump = last[hop]
         active = active[(jump != hop) & ~is_last[jump]]  # still moving, and not at a last node
     resolved = is_last[last]  # the rest lead into a cycle of chain nodes
-    # arcs from outside the chain nodes into them
+    rep = nxt[last]  # the chain's end
+    # every chain node's arc is dropped; an arc from outside the chain nodes
+    # into one leads to its end, or is dropped if it leads round a cycle or
+    # back to its source
     into = np.flatnonzero(flag[head])
     into = into[~flag[key[into]]]
     hit = index[head[into]]
-    stays = np.zeros(len(chain), dtype=bool)
-    stays[last[hit]] = True
-    stays &= is_last & end_on
-    rep = np.where(stays, chain, nxt)[last]
+    del index
     head[into] = rep[hit]
     kept = np.ones(len(key), dtype=bool)
-    kept[chain_arc[~stays]] = False
-    kept[into[~resolved[hit]]] = False
+    kept[chain_arc] = False
+    kept[into[~resolved[hit] | (head[into] == key[into])]] = False
     key = key[kept]
     head = head[kept]
-    del kept, into, hit, chain_arc, nxt
+    del kept, into, hit, chain_arc, nxt, last
     order = np.argsort(key, kind="stable")
     key = key[order]
     head = head[order]
     del order
-    # each root stands for its rep; one that leads into a cycle, for
-    # itself, which has no kept arc now
-    rep[~resolved] = chain[~resolved]
-    index[roots] = np.arange(len(roots))
-    roots[index[chain]] = rep
-    del index
-    alias = resolved & ~stays
-    if wanted is not None:
-        alias &= wanted[chain % width - 1]
-    alias = np.flatnonzero(alias)
-    chain, rep = chain[alias], rep[alias]
     off = np.bincount(key, minlength=count * width)
-    started = off[roots] > 0
     if wanted is not None:
-        started &= wanted_root
-    roots = roots[started]
+        resolved &= wanted[chain % width - 1]  # resolved is read no more
+    alias = np.flatnonzero(resolved)
+    chain, rep = chain[alias], rep[alias]
+    # the roots: the nodes with a kept arc; given `wanted`, the wanted ones
+    # and the reps of the wanted aliases
+    np.greater(off, 0, out=flag)
+    if wanted is not None:
+        flag.reshape(count, width)[:, 1:] &= wanted
+        flag[rep] |= off[rep] > 0
+    roots = np.flatnonzero(flag)
     off = off.reshape(count, width)
     np.cumsum(off, axis=1, out=off)
-    # each array's world starts; roots and aliases are not in key order, but
-    # in world order. The heads' are found on their keys, since a division
-    # over every kept arc raised the peak RSS of er10k-hop by 4 MB
+    # each array's world starts. Roots and heads are in key order, so theirs
+    # are found on their keys, since a division over every kept arc raised
+    # the peak RSS of er10k-hop by 4 MB; aliases are only in world order
     worlds = np.arange(count + 1)
-    at_head = np.searchsorted(key, worlds * width).tolist()
-    at_root, at_alias = (np.searchsorted(keys // width, worlds).tolist() for keys in (roots, chain))
+    at_root, at_head = (np.searchsorted(keys, worlds * width).tolist() for keys in (roots, key))
+    at_alias = np.searchsorted(chain // width, worlds).tolist()
     for keys in (roots, head, chain, rep):
         keys %= width
         keys -= 1

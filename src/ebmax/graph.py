@@ -180,15 +180,7 @@ class NodeEconomics:
     def __post_init__(self):
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=np.float64))
         object.__setattr__(self, "benefit", np.asarray(self.benefit, dtype=np.float64))
-        targets = np.asarray(self.targets)
-        if targets.dtype.kind not in "iuf":  # bools, strings, objects: check each id
-            targets = np.array([as_node_id(t) for t in targets.tolist()], dtype=np.int64)
-        targets = np.sort(targets)
-        if targets.dtype.kind == "f":
-            bad = ~(np.isfinite(targets) & (targets == np.floor(targets)))
-            if bad.any():
-                raise ValueError(f"target id {targets[int(np.argmax(bad))]} is not an integer")
-        object.__setattr__(self, "targets", targets.astype(np.int64))
+        object.__setattr__(self, "targets", np.sort(_id_column("targets", self.targets)))
         n = len(self.cost)
         if len(self.benefit) != n:
             raise ValueError("cost and benefit vectors must have equal length")

@@ -239,39 +239,29 @@ def reference_contraction(adjacency, bits):
     out-neighbours by node, alias pairs sorted).
 
     Arcs into non-target nodes with no live out-arc are dropped. A chain node
-    (no target, one kept arc) is an alias of its end, the first node that is
-    not one on the way along heads, reached through its last chain node;
-    arcs into it lead to the end, and its arc is dropped. The last chain node
-    of a branch that a non-chain node enters, and whose end has a kept arc,
-    keeps its arc instead, and the rest of its branch are aliases of it.
-    Chain nodes that lead round a cycle of chain nodes lose their arcs and
-    arcs into them. Roots: the nodes with a live arc in ascending id, each
-    replaced by its alias target, where that has a kept arc.
+    (no target, one kept arc) is an alias of its end, the first node on its
+    way along heads that is not one; arcs into it lead to the end, unless
+    that is their source, and its arc is dropped. Chain nodes that lead round
+    a cycle of chain nodes lose their arcs and arcs into them. Roots: the
+    nodes left with a kept arc, in ascending id.
     """
     kept = {u: [d for d in out if bits[d] or d in adjacency] for u, out in adjacency.items()}
     chain = {u: out[0] for u, out in kept.items() if len(out) == 1 and not bits[u]}
-    last = {}  # chain node -> the last chain node on its way, or None round a cycle
+    rep = {}  # chain node -> its end; absent for one that leads round a cycle
     for v in chain:
-        u, seen = v, {v}
-        while chain[u] in chain:
-            u = chain[u]
-            if u in seen:
-                u = None
-                break
+        u, seen = chain[v], {v}
+        while u in chain and u not in seen:
             seen.add(u)
-        last[v] = u
-    entered = {last[d] for u, out in kept.items() if u not in chain for d in out if d in chain}
-    stays = {u for u in entered if u is not None and kept.get(chain[u])}
-    rep = {v: u if u in stays else chain[u] for v, u in last.items() if u is not None and v not in stays}
+            u = chain[u]
+        if u not in chain:
+            rep[v] = u
     contracted = {}
     for u, out in kept.items():
-        if u in chain and u not in stays:
-            continue
-        heads = [rep.get(d, d) for d in out if not (d in chain and last[d] is None)]
-        if heads:
+        heads = [rep.get(d, d) for d in out if d in rep or d not in chain]
+        heads = [d for d in heads if d != u]
+        if heads and u not in chain:
             contracted[u] = heads
-    roots = [rep.get(v, v) for v in sorted(adjacency)]
-    return [r for r in roots if r in contracted], contracted, sorted(rep.items())
+    return sorted(contracted), contracted, sorted(rep.items())
 
 
 def target_benefits(economics):

@@ -438,20 +438,21 @@ class TestNodeEconomicsValidation:
             NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([5]))
         with pytest.raises(ValueError, match="duplicate target id 1"):
             NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=np.array([1, 0, 1]))
-        with pytest.raises(ValueError, match="target id 1.7 is not an integer"):
-            NodeEconomics(
-                cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1.7])
-            )
-        for bad, named in (
-            ([True], "True"),
-            (["1"], "'1'"),
-            (np.array([True], dtype=object), "True"),
-            (np.array([1, "a"], dtype=object), "'a'"),
+        # target ids follow the arc columns' rule: a float, even an integral
+        # one, a bool, a string or an object column is refused, not truncated
+        for bad in (
+            np.array([1.7]),
+            np.array([1.0]),
+            [True],
+            ["1"],
+            np.array([True], dtype=object),
+            np.array([1], dtype=object),
         ):
-            with pytest.raises(ValueError, match=f"node id {named} is not an integer"):
+            with pytest.raises(ValueError, match="targets must hold integer node ids"):
                 NodeEconomics(cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=bad)
-        # an object array of integers holds node ids like any other
         econ = NodeEconomics(
-            cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1], dtype=object)
+            cost=np.ones(3), benefit=np.array([0.0, 2.0, 0.0]), targets=np.array([1], dtype=np.uint8)
         )
-        assert econ.targets.tolist() == [1] and econ.benefit[econ.targets].tolist() == [2.0]
+        assert econ.targets.dtype == np.int64 and econ.targets.tolist() == [1]
+        # numpy types [] as float64
+        assert NodeEconomics(cost=np.ones(3), benefit=np.zeros(3), targets=[]).targets.tolist() == []

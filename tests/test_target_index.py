@@ -9,8 +9,10 @@ world was indexed as it is drawn, and the adjacency-dict worlds
 reference draw (`helpers._sample_rows`) holds a chunk's draws as one float
 block; `_draw_worlds` must give the same worlds through its reused buffers.
 The CSR worlds have their chains contracted: `helpers.reference_contraction`
-builds the same contracted world with plain loops, and the masks must be the
-very int objects the reference pass gives on the uncontracted world.
+builds the same contracted world with plain loops. The masks must have the
+values the reference pass gives on the uncontracted world, each alias must
+hold its rep's int, and the nodes of one strongly connected component must
+share one int.
 """
 
 import hashlib
@@ -177,13 +179,21 @@ def test_csr_masks_equal_the_reference_masks(instance):
         roots, heads, off, aliases = world
         assert len(off) == n + 1 and off[0] == 0 and off[n] == len(heads)
         sources = {v for v in range(n) if off[v] < off[v + 1]}
-        assert set(roots) == sources
+        assert roots == sorted(sources)
         expected_roots, contracted, expected_aliases = reference_contraction(adjacency, bits)
         assert roots == expected_roots
         assert {u: heads[off[u] : off[u + 1]] for u in sources} == contracted
         assert sorted(zip(*aliases)) == expected_aliases
         # no kept arc leaves or enters an alias, and no alias stands for another
         assert not set(aliases[0]) & (sources | set(heads) | set(aliases[1]))
+    # rooted at every other node: the same arcs, the wanted aliases, and the
+    # roots are the wanted nodes with a kept arc and the reps of the wanted
+    # aliases that have one, in ascending id
+    wanted = np.arange(n) % 2 == seed % 2
+    for (roots, heads, off, aliases), rooted in zip(worlds, _csr_worlds(keep, graph, economics.targets, wanted)):
+        pairs = [(v, rep) for v, rep in zip(*aliases) if wanted[v]]
+        starts = {v for v in roots if wanted[v]} | {rep for _, rep in pairs if off[rep] < off[rep + 1]}
+        assert rooted == (sorted(starts), heads, off, ([v for v, _ in pairs], [rep for _, rep in pairs]))
 
 
 def test_arcs_into_non_target_sinks_are_dropped():
@@ -290,14 +300,6 @@ def draw_in_chunks(graph, targets, seed, count, first, per_chunk):
         return list(_draw_worlds(graph, targets, seed, count, first))
 
 
-def shared_ints(masks):
-    """The nodes grouped by the int object their mask is, in id order."""
-    groups = {}
-    for v, mask in enumerate(masks):
-        groups.setdefault(id(mask), []).append(v)
-    return sorted(groups.values())
-
-
 @st.composite
 def chain_instances(draw):
     """(graph, economics, samples, master seed), rich in chain nodes (no
@@ -330,12 +332,9 @@ def chain_instances(draw):
 
 
 # a chain 10 -> 11 -> 12 whose end 12 reaches the target 13 first and then
-# 14, which enters the chain again at 11 while the search that came through
-# 11 is still open. The pass over the whole world unions 11's mask there,
-# still 0. Contracted into 12, 11 would give 12's partial mask (13's bit), 14
-# would build its mask as a fresh int, and the component {11, 12, 14} would
-# not share node 16's int as it does in the whole world. So 11 stays
-STAYING_LAST = _instance(
+# 14, which enters the chain again at 11, so {11, 12, 14} is one component.
+# 10 and 11 are aliases of 12, and 14's arc into 11 leads to 12
+ENTERED_ON_A_CYCLE = _instance(
     17,
     [(10, 11, 1.0), (11, 12, 1.0), (12, 13, 1.0), (12, 14, 1.0), (14, 11, 1.0), (14, 15, 1.0), (14, 16, 1.0),
      (16, 13, 1.0), (16, 15, 1.0)],
@@ -346,13 +345,12 @@ STAYING_LAST = _instance(
 
 @given(chain_instances(), st.sampled_from([1, 3, None]))
 @example(_instance(0, [], []), None)
-@example(STAYING_LAST, None)
+@example(ENTERED_ON_A_CYCLE, None)
 def test_contracted_chains_keep_every_mask_and_its_int(instance, per_chunk):
     # worlds drawn in chunks of 1, 3 or all of them, so no chain crosses a
-    # world boundary, against the reference pass over the uncontracted world,
-    # searched from its nodes in ascending id as the pass did before chains
-    # were contracted: the same masks, each alias holding its rep's int, and
-    # the same nodes sharing one int
+    # world boundary, against the reference pass over the uncontracted
+    # world: the same masks, each alias holding its rep's int, and the
+    # members of each strongly connected component sharing one int
     graph, economics, samples, seed = instance
     bits = target_bits(economics)
     src, dst = graph.src.tolist(), graph.dst.tolist()
@@ -361,21 +359,25 @@ def test_contracted_chains_keep_every_mask_and_its_int(instance, per_chunk):
     assert len(worlds) == samples
     for row, world in zip(keep, worlds):
         adjacency = _build_adjacency(np.flatnonzero(row).tolist(), src, dst)
-        expected = reference_target_masks(dict(sorted(adjacency.items())), bits)
         masks = _target_masks(world, bits)
-        assert masks == expected
+        assert masks == reference_target_masks(adjacency, bits)
         assert all(masks[v] is masks[rep] for v, rep in zip(*world[3]))
-        assert shared_ints(masks) == shared_ints(expected)
+        reach = [_reach(adjacency, (v,)) for v in range(graph.node_count)]
+        for v, reached in enumerate(reach):
+            assert all(masks[w] is masks[v] for w in reached if v in reach[w])
 
 
-def test_a_branch_entered_on_a_cycle_keeps_its_last_chain_node():
-    graph, economics, _, _ = STAYING_LAST
+def test_a_branch_entered_on_a_cycle_is_contracted_to_its_end():
+    graph, economics, _, _ = ENTERED_ON_A_CYCLE
     (world,) = _draw_worlds(graph, economics.targets, 0, count=1)
-    # 10 is an alias of 11, whose arc into 12 stays; 14's arc into 11 is kept
-    assert world[3] == ([10], [11])
-    assert world[1][world[2][11] : world[2][12]] == [12] and 11 in world[1]
-    masks = _target_masks(world, target_bits(economics))
-    assert masks[10] is masks[11] is masks[12] is masks[14] is masks[16]
+    roots, heads, off, aliases = world
+    assert aliases == ([10, 11], [12, 12])
+    assert roots == [12, 14, 16] and heads[off[14] : off[15]] == [12, 15, 16]
+    bits = target_bits(economics)
+    masks = _target_masks(world, bits)
+    adjacency = _build_adjacency(range(graph.arc_count), graph.src.tolist(), graph.dst.tolist())
+    assert masks == reference_target_masks(adjacency, bits)
+    assert masks[10] is masks[11] is masks[12] is masks[14]
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, None])
@@ -604,7 +606,8 @@ def test_per_sample_benefits_match_the_reference_search(instance, data):
 
 
 # a chain 0 -> 1 -> 2 into a node on the cycle 2 <-> 3, which also reaches
-# the target 4: 0 and 1 are aliases of 2, and 3 stays with its one arc
+# the target 4: 0, 1 and 3 are aliases of 2, and 2's arc into 3, which
+# would lead back to 2, is dropped
 ALIAS_ON_CYCLE = _instance(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0), (2, 4, 1.0)], [4])
 
 
@@ -615,7 +618,7 @@ ALIAS_ON_CYCLE = _instance(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0
     st.sets(st.integers(0, 6)),
     st.lists(st.sets(st.integers(0, 6)), max_size=4),
 )
-@example(STAYING_LAST[:2], 1, 5, {10, 14}, [{10}, {14}])
+@example(ENTERED_ON_A_CYCLE[:2], 1, 5, {10, 14}, [{10}, {14}])
 @example(ALIAS_ON_CYCLE[:2], 3, 5, {0}, [])
 @example(TANGLED[:2], 3, 5, {1}, [])  # a target on the cycle
 @example(TANGLED[:2], 3, 5, {3, 5}, [{5}])  # a target sink and an isolated node
