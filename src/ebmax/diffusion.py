@@ -39,6 +39,7 @@ node's target mask from the same per-world pass.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import compress
 from operator import itemgetter
 
@@ -411,8 +412,11 @@ class BenefitEstimator:
     """
 
     def __init__(self, graph, economics, samples=10000, master_seed=0, nodes=None):
+        for name, value in (("sample count", samples), ("master seed", master_seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if samples < 1:
-            raise ValueError("sample count must be at least 1")
+            raise ValueError(f"sample count must be at least 1, got {samples!r}")
         if economics.node_count != graph.node_count:
             raise ValueError("economics sized for a different graph")
         graph.require_probabilities()

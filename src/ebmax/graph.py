@@ -43,24 +43,18 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
-def _stable_order(keys, bound):
-    """The positions of `keys`, non-negative ints below `bound`, sorted by
-    (key, position): what a stable argsort gives."""
-    m = len(keys)
-    if bound * m > _MAX_NODE_ID:  # the composite keys below would overflow int64
-        return np.argsort(keys, kind="stable")
-    # one plain sort of distinct composite keys, several times faster than a
-    # stable argsort
-    return np.sort(keys * m + np.arange(m)) % m
-
-
 def _arc_index(keys, n):
     """CSR index of arcs grouped by `keys`: `(offsets, arcs)` such that
     `arcs[offsets[v]:offsets[v + 1]]` are the arcs keyed v, in input order,
     which score accumulation relies on."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    return offsets, _stable_order(keys, n)
+    m = len(keys)
+    if n * m > _MAX_NODE_ID:  # the composite keys below would overflow int64
+        return offsets, np.argsort(keys, kind="stable")
+    # one plain sort of distinct composite keys (key, position), several times
+    # faster than a stable argsort
+    return offsets, np.sort(keys * m + np.arange(m)) % m
 
 
 def _id_column(name, column):

@@ -114,14 +114,13 @@ def fill_by_rank(economics, budget, score, *, stop_on_zero_gain=False):
     return _commit_loop(economics, budget, pick, stop_on_zero_gain)
 
 
-def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True):
+def greedy_ratio_select(estimator, economics, budget):
     """Incremental greedy: each round add the affordable node with the best
     marginal gain per unit cost (ties to the lowest id).
 
-    Stops when nothing is affordable or the budget hits zero. By default it
-    also stops once the best available ratio is non-positive, since adding
-    zero-gain nodes burns budget without benefit; pass
-    ``stop_on_zero_gain=False`` for the literal always-spend loop.
+    Stops when nothing is affordable, the budget hits zero, or the best
+    available ratio is non-positive, since adding zero-gain nodes burns
+    budget without benefit.
     """
     cost = economics.cost.tolist()
 
@@ -134,7 +133,7 @@ def greedy_ratio_select(estimator, economics, budget, *, stop_on_zero_gain=True)
                 best = (v, ratio, gain)
         return best
 
-    return _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator)
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain=True, estimator=estimator)
 
 
 def best_single_node(estimator, economics, budget):
@@ -156,7 +155,7 @@ def best_single_node(estimator, economics, budget):
     return best_node, best_benefit
 
 
-def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
+def modified_greedy_select(estimator, economics, budget):
     """Cost-ratio greedy safeguarded by the best affordable single node.
 
     Returns whichever of the two candidate answers has the larger estimated
@@ -164,9 +163,7 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
     unbounded worst case of the plain ratio greedy into a
     (1 - 1/sqrt(e)) approximation.
     """
-    greedy = greedy_ratio_select(
-        estimator, economics, budget, stop_on_zero_gain=stop_on_zero_gain
-    )
+    greedy = greedy_ratio_select(estimator, economics, budget)
     before = estimator.evaluations
     node, benefit = best_single_node(estimator, economics, budget)
     guard = estimator.evaluations - before
@@ -186,7 +183,7 @@ def modified_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=Tr
     return greedy
 
 
-def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
+def lazy_greedy_select(estimator, economics, budget):
     """Cost-ratio greedy with lazy re-evaluation of cached marginal gains.
 
     Keeps a max-heap of gain-per-cost values, each cached with the round it
@@ -218,4 +215,4 @@ def lazy_greedy_select(estimator, economics, budget, *, stop_on_zero_gain=True):
             heapq.heappush(heap, (-gain / cost[v], v, gain, len(seeds)))
         return None
 
-    return _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator)
+    return _commit_loop(economics, budget, pick, stop_on_zero_gain=True, estimator=estimator)

@@ -14,11 +14,14 @@ overestimates; it is exact when all source-target paths are arc-disjoint.
 
 Walks are built a level at a time in numpy, for a batch of targets at once:
 each level expands its nodes' in-arcs against the walks one level down and
-multiplies every (node, source) pair's survival factors in in-arc order, so
-the floats are those of the per-target recursion, bit for bit
-(tests/helpers.py keeps that recursion as the reference). The table does
-not depend on the budget either: a sweep hands `hop_based_select` one
-`cache` dict, and the first call's table serves every later budget.
+multiplies every (node, source) pair's survival factors in in-arc order.
+Both reductions, that product and each node's sum of gains over targets,
+go through numpy's unbuffered `ufunc.at`, which applies its operands one
+at a time in array order, so the floats are those of the per-target
+recursion, bit for bit (tests/helpers.py keeps that recursion as the
+reference). The table does not depend on the budget either: a sweep hands
+`hop_based_select` one `cache` dict, and the first call's table serves
+every later budget.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _stable_order
 from .greedy import fill_by_rank
 
 
@@ -76,26 +78,6 @@ def _ranges(starts, lengths):
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _grouped(keys):
-    """`(order, starts)`: `order` sorts the entries by (key, position), and
-    `starts` marks where each run of equal keys begins in that order."""
-    order = _stable_order(keys, int(keys.max()) + 1 if len(keys) else 0)
-    ordered = keys[order]
-    return order, np.flatnonzero(np.diff(ordered, prepend=-1))
-
-
-def _ranks(starts, count):
-    """Yield `(groups, at)` for ranks r = 0, 1, ... of the groups that begin
-    at `starts` in an array of `count` entries: `groups` are the groups with
-    more than r entries, and `at` the positions of their r-th entries."""
-    sizes = np.diff(starts, append=count)
-    by_size = np.argsort(-sizes, kind="stable")
-    first = starts[by_size]
-    at_least = np.cumsum(np.bincount(sizes)[::-1])[::-1]  # [r]: groups of >= r entries
-    for r, k in enumerate(at_least[1:].tolist()):
-        yield by_size[:k], first[:k] + r
-
-
 def _in_arcs(graph):
     """The graph's in-arcs as arrays `(offsets, tails, probs)`: node v's
     in-arcs in input order come from `tails[offsets[v]:offsets[v + 1]]`
@@ -135,9 +117,9 @@ def _level(in_arcs, nodes, below, top):
     in-neighbor of `nodes`, in ascending id.
 
     For each (node, source) pair, the survival factors `1 - q * p_arc` of
-    the node's in-arcs, in in-arc order, are multiplied into a running
-    product that starts at 1.0, one rank of every pair per vectorised step:
-    the same IEEE operations in the same order as a loop over the arcs. The
+    the node's in-arcs are generated in in-arc order, and `np.multiply.at`
+    multiplies them, in that order, into a product that starts at 1.0: the
+    same IEEE operations in the same order as a loop over the arcs. The
     probability is one minus the product. A node's own entry is 1.0, or, at
     the `top` level, dropped.
     """
@@ -161,15 +143,13 @@ def _level(in_arcs, nodes, below, top):
         head = np.concatenate([head, np.arange(len(nodes))])
         source = np.concatenate([source, nodes])
         factor = np.concatenate([factor, np.zeros(len(nodes))])
-    order, starts = _grouped(head * n + source)
-    factor = factor[order]
-    survive = np.ones(len(starts))
-    for groups, at in _ranks(starts, len(order)):
-        survive[groups] *= factor[at]
-    first = order[starts]
+    pairs, pair = np.unique(head * n + source, return_inverse=True)
+    survive = np.ones(len(pairs))
+    np.multiply.at(survive, pair, factor)
+    head, source = np.divmod(pairs, n)
     node_off = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(head[first], minlength=len(nodes)), out=node_off[1:])
-    return nodes, node_off, source[first], 1.0 - survive
+    np.cumsum(np.bincount(head, minlength=len(nodes)), out=node_off[1:])
+    return nodes, node_off, source, 1.0 - survive
 
 
 def _walks(in_arcs, targets, hops):
@@ -229,11 +209,9 @@ def compute_scores(graph, economics, config):
         _, node_off, source, p = _walks(in_arcs, batch, config.hops)
         keep = p >= config.cutoff
         gain = p[keep] * np.repeat(benefit[batch], np.diff(node_off))[keep]
-        # each source's gains, added one target at a time in ascending id
-        order, starts = _grouped(source[keep])
-        source, gain = source[keep][order[starts]], gain[order]
-        for groups, at in _ranks(starts, len(order)):
-            eb[source[groups]] += gain[at]
+        # entries run by (target, source), so each source's gains are added
+        # one target at a time in ascending id
+        np.add.at(eb, source[keep], gain)
     score = eb / economics.cost
     return ScoreTable(expected_benefit=eb, score=score)
 

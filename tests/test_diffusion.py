@@ -142,6 +142,21 @@ class TestBenefitEstimator:
         seeds = {0, g.node_count - 1}
         assert est.estimate(seeds) == est.estimate(seeds)
 
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [("samples", 3.9), ("samples", 4.0), ("samples", True), ("samples", "4"),
+         ("master_seed", 1.7), ("master_seed", False), ("master_seed", None)],
+    )
+    def test_estimator_refuses_non_integer_settings(self, setting, bad):
+        # a float is refused, not truncated, and a bool is not a count
+        g = make_graph(2, [(0, 1, 0.5)])
+        econ = make_economics(2, targets=[1])
+        named = {"samples": "sample count", "master_seed": "master seed"}[setting]
+        with pytest.raises(ValueError, match=f"{named} must be an integer, got {bad!r}"):
+            BenefitEstimator(g, econ, **{"samples": 4, "master_seed": 1, setting: bad})
+        est = BenefitEstimator(g, econ, samples=np.int64(4), master_seed=np.uint32(1))
+        assert (est.samples, est.master_seed) == (4, 1)
+
     def test_estimator_validates(self):
         g = make_graph(2, [(0, 1, 0.5)])
         econ = make_economics(2, targets=[1])
