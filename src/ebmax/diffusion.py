@@ -417,6 +417,8 @@ class BenefitEstimator:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples!r}")
+        if not 0 <= int(master_seed) < 1 << 128:  # Philox's key is 128 bits
+            raise ValueError(f"master seed must lie in [0, 2**128), got {int(master_seed)}")
         if economics.node_count != graph.node_count:
             raise ValueError("economics sized for a different graph")
         graph.require_probabilities()

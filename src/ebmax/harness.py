@@ -20,18 +20,13 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import baselines, greedy, hop
 from .diffusion import BenefitEstimator
 from .graph import assign_economics, assign_probabilities, load_edge_list, target_count
-
-CSV_HEADER = (
-    "dataset,algorithm,prob_setting,cost_setting,budget,seed_count,"
-    "spent,benefit_mean,benefit_std,eval_count,seconds"
-)
 
 # the CSV code of each --econ setting
 ECONOMICS_CODES = {"random": "R", "degprop": "D"}
@@ -79,6 +74,8 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One CSV record: its fields, in declaration order, are the columns."""
+
     dataset: str
     algorithm: str
     prob_setting: str
@@ -92,31 +89,22 @@ class ResultRow:
     seconds: float
 
     def as_csv(self):
-        """The row as one CSV record without its line end. A field holding a
-        comma, a quote or a line break is quoted, as the CSV format needs.
+        """The row as one CSV record without its line end. A field declared
+        float is written as `repr(float(value))`, whatever its value's type;
+        any other field goes to the writer as it is. A field holding a comma,
+        a quote or a line break is quoted, as the CSV format needs.
         The writer quotes a field holding a character of its line end, so
         the record ends in both CR and LF, which are then cut off."""
-
-        def num(x):
-            return repr(float(x))
-
         record = io.StringIO()
         csv.writer(record, lineterminator="\r\n").writerow(
-            [
-                self.dataset,
-                self.algorithm,
-                self.prob_setting,
-                self.cost_setting,
-                num(self.budget),
-                str(self.seed_count),
-                num(self.spent),
-                num(self.benefit_mean),
-                num(self.benefit_std),
-                str(self.eval_count),
-                num(self.seconds),
-            ]
+            # the annotations are strings under `from __future__ import annotations`
+            repr(float(value)) if field.type == "float" else value
+            for field, value in zip(fields(self), astuple(self))
         )
         return record.getvalue()[:-2]
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
 
 
 def _parse_probability(text):
@@ -344,6 +332,8 @@ def generate_synthetic(kind, n, param, seed, path):
     """
     if n < 1:
         raise ValueError("need at least one node")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "random":
         if not (param >= 0 and math.isfinite(param)):

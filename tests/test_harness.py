@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -444,6 +445,16 @@ class TestRunExperiment:
             "spent,benefit_mean,benefit_std,eval_count,seconds"
         )
 
+    def test_csv_record_formats_by_declared_type(self):
+        # a float field prints repr(float(value)) whatever its value's type,
+        # so an int budget prints 400.0 and an np.float64 no type name
+        row = harness.ResultRow(
+            dataset="g", algorithm="hbh", prob_setting="U", cost_setting="R", budget=400,
+            seed_count=3, spent=np.float64(1.5), benefit_mean=0.1 + 0.2, benefit_std=1 / 3,
+            eval_count=7, seconds=0,
+        )
+        assert row.as_csv() == "g,hbh,U,R,400.0,3,1.5,0.30000000000000004,0.3333333333333333,7,0.0"
+
     def test_validation_errors(self, small_graph_file, tmp_path):
         out = str(tmp_path / "r.csv")
         for bad in (-5.0, math.inf, 1e400, math.nan):
@@ -594,6 +605,17 @@ class TestCli:
             assert named in capsys.readouterr().err, param
         assert not graph.exists()
         assert cli_main(["gen", "--kind", "random", "--nodes", "6", "--param", "0",
+                         "--out", str(graph)]) == 0
+
+    def test_gen_negative_seed_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        code = cli_main(["gen", "--kind", "random", "--nodes", "5", "--param", "2", "--seed", "-1",
+                         "--out", str(graph)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "got -1" in err
+        assert not graph.exists()
+        assert cli_main(["gen", "--kind", "random", "--nodes", "5", "--param", "2", "--seed", "0",
                          "--out", str(graph)]) == 0
 
     def test_node_id_beyond_int64_exit_code(self, tmp_path, capsys):
@@ -837,6 +859,23 @@ class TestRunFlags:
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
         assert self.config_of(monkeypatch, argv) == expected
+
+
+class TestReadme:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_readme_lists_the_csv_columns(self):
+        block = re.search(r"\nCSV columns[^\n]*\n\n```\n(.*?)\n```", self.readme, flags=re.DOTALL)
+        assert block.group(1) == CSV_HEADER
+
+    def test_readme_library_example_runs(self, capsys):
+        code = re.search(r"\n## Library example\n\n```python\n(.*?)\n```", self.readme, flags=re.DOTALL)
+        exec(compile(code.group(1), "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        for line in printed:
+            seeds = ast.literal_eval(line)
+            assert isinstance(seeds, list) and seeds and set(seeds) <= {0, 1, 2, 3}, line
 
 
 def run_cli(argv):
