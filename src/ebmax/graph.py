@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -82,8 +81,10 @@ class SocialGraph:
     """
 
     def __init__(self, node_count, src, dst, prob, directed=True, *, original_ids=None):
+        if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
+            raise ValueError(f"node_count must be an integer, got {node_count!r}")
         if node_count < 0:
-            raise ValueError("node_count must be non-negative")
+            raise ValueError(f"node_count must be non-negative, got {node_count}")
         self.node_count = int(node_count)
         self.directed = bool(directed)
 
@@ -204,11 +205,12 @@ class NodeEconomics:
 # --- loading and serialization ----------------------------------------------
 
 def _line_error(line):
-    """The message of the first check that one edge-list line fails. The
-    checks run in this order: two or three columns, integer ids,
-    non-negative ids, ids within int64, no self-loop, a numeric
-    probability, a probability in (0, 1]. Only called for a line that
-    fails one of them."""
+    """The message of the first check that one edge-list line fails, or None
+    if it passes them all. The checks run in this order, which nothing else
+    states: two or three columns, integer ids, non-negative ids, ids within
+    int64, no self-loop, a numeric probability, a probability in (0, 1].
+    `load_edge_list` runs it over a refused file's lines to find the first
+    bad one."""
     line = line.strip()
     parts = line.split()
     if len(parts) not in (2, 3):
@@ -223,34 +225,33 @@ def _line_error(line):
         return f"node id {max(u, v)} exceeds the int64 range"
     if u == v:
         return f"self-loop on node {u} rejected"
+    if len(parts) == 2:
+        return None
     try:
         p = float(parts[2])
     except ValueError:
         return f"probability must be a number, got {parts[2]!r}"
-    return f"probability {p} outside (0, 1]"
+    return None if 0.0 < p <= 1.0 else f"probability {p} outside (0, 1]"  # NaN fails
 
 
-def _convert(tokens, kind):
-    """The longest prefix of `tokens` (an object array of str) that `kind`
-    (`int` or `float`) converts into int64 or float64, converted. The token
-    after that prefix, if any, is the first that fails or overflows."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        return np.array(tokens, dtype=dtype)  # converts each token as `kind` does
+def _rows(tokens, at, width):
+    """`(u, v, prob)` of the data rows whose first token is `tokens[at]` and
+    whose token counts are `width`, prob 0.0 where a row gives none, checked
+    as whole arrays; None if any row fails a check of `_line_error`."""
+    if np.any((width != 2) & (width != 3)):
+        return None
+    three = np.flatnonzero(width == 3)
+    try:  # converts each token as int() or float() does, and refuses one beyond int64
+        u = np.array(tokens[at], dtype=np.int64)
+        v = np.array(tokens[at + 1], dtype=np.int64)
+        p = np.array(tokens[at[three] + 2], dtype=np.float64)
     except (ValueError, OverflowError):
-        pass
-    # np.fromiter stops at the first failing token; the iterator shows how far it got
-    rest = iter(tokens.tolist())
-    try:
-        np.fromiter(map(kind, rest), dtype, count=len(tokens))
-    except (ValueError, OverflowError):
-        pass
-    return np.array(tokens[: len(tokens) - operator.length_hint(rest) - 1], dtype=dtype)
-
-
-def _first_true(mask):
-    """Index of the first True in `mask`, or its length when there is none."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
+        return None
+    if not (np.all((u >= 0) & (v >= 0) & (u != v)) and np.all((p > 0.0) & (p <= 1.0))):  # NaN fails
+        return None
+    prob = np.zeros(len(at))
+    prob[three] = p
+    return u, v, prob
 
 
 def load_edge_list(source, directed=True):
@@ -264,7 +265,10 @@ def load_edge_list(source, directed=True):
     in either direction) keeps its last occurrence, with one warning naming
     each repeat's line. The first line that fails a check raises
     `GraphParseError` with its line number, after the warnings for the
-    lines before it.
+    lines before it. The rows are checked as whole arrays; only when they
+    fail does `_line_error` run over the lines in order to find the first
+    bad one, so refusing a file costs one Python pass over its lines up to
+    that line.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -277,22 +281,16 @@ def load_edge_list(source, directed=True):
     data = np.flatnonzero(counts)
     data = data[tokens[first[data]].astype("U1") != "#"]  # the line of each data row
 
-    # each check runs on the rows before the first row that an earlier check failed
-    width = counts[data]
-    at = first[data[: _first_true((width != 2) & (width != 3))]]
-    u = _convert(tokens[at], int)
-    v = _convert(tokens[at[: len(u)] + 1], int)
-    u = u[: len(v)]
-    three = np.flatnonzero(width[: len(v)] == 3)
-    p = _convert(tokens[at[three] + 2], float)
+    rows = _rows(tokens, first[data], counts[data])
+    stop = len(data)  # the first data row that fails a check, if any
+    if rows is None:  # find that row line by line, then read the rows before it
+        lines = text.split("\n")
+        stop = next((r for r, line in enumerate(data.tolist()) if _line_error(lines[line])), stop)
+        rows = _rows(tokens, first[data[:stop]], counts[data[:stop]])
+        if rows is None or stop == len(data):
+            raise RuntimeError("the whole-array edge-list checks and _line_error disagree")
     del tokens  # the token strings are most of the load's peak; free them before the graph is built
-    ok = (u >= 0) & (v >= 0) & (u != v)
-    ok[three[len(p):]] = False
-    ok[three[: len(p)]] &= (p > 0.0) & (p <= 1.0)  # NaN fails both
-    prob = np.zeros(len(ok))
-    prob[three[: len(p)]] = p
-    stop = _first_true(~ok)  # the first failing row, if any: all rows before it pass
-    u, v, prob = u[:stop], v[:stop], prob[:stop]
+    u, v, prob = rows
 
     ids, dense = np.unique(np.concatenate([u, v]), return_inverse=True)
     n = len(ids)
@@ -312,7 +310,7 @@ def load_edge_list(source, directed=True):
             )
     if stop < len(data):
         line = int(data[stop])
-        raise GraphParseError(_line_error(text.split("\n")[line]), line + 1)
+        raise GraphParseError(_line_error(lines[line]), line + 1)
 
     src, dst, prob = src[keep], dst[keep], prob[keep]
     if not directed:  # each edge becomes two adjacent mirror arcs sharing its probability

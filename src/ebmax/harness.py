@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import math
+import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, fields
@@ -155,6 +156,13 @@ def _validate(config):
         raise ConfigError("--algos names no algorithm")
     if config.economics not in ECONOMICS_CODES:
         raise ConfigError(f"unknown economics setting --econ {config.economics!r} (use random or degprop)")
+    for name, value in (
+        ("sample count (--samples)", config.samples),
+        ("repetitions (--reps)", config.repetitions),
+        ("master seed (--seed)", config.master_seed),
+    ):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if config.samples < 1:
         raise ConfigError(f"sample count (--samples) must be at least 1, got {config.samples}")
     if config.repetitions < 1:
@@ -331,7 +339,7 @@ def generate_synthetic(kind, n, param, seed, path):
     kind "preferential": preferential attachment, `param` arcs per new node.
     """
     if n < 1:
-        raise ValueError("need at least one node")
+        raise ValueError(f"need at least one node, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -380,7 +388,7 @@ def _random_edges(n, avg_degree, rng):
 
 def _preferential_edges(n, arcs_per_node, rng):
     if arcs_per_node < 1:
-        raise ValueError("preferential attachment needs param >= 1")
+        raise ValueError(f"preferential attachment needs param >= 1, got {arcs_per_node}")
     m0 = min(arcs_per_node, max(1, n - 1))
     edges = []
     endpoint_pool = list(range(m0))  # degree-weighted sampling pool

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -140,7 +141,7 @@ def load_outcome(load, source, directed):
 
 
 class TestLoaderMatchesReference:
-    @settings(max_examples=400)
+    @settings(max_examples=4 * settings().max_examples)  # 400, or 4000 under ebmax-deep
     @given(edge_list_texts(), st.booleans())
     @example("0 1\n1 0\n0 1 0.5\n2 2\n1 0 0.25\n", False)  # warnings, then the error
     @example("0 1\x852 3\n4 4\n", True)  # one line of four tokens under "\n" splitting
@@ -157,6 +158,30 @@ class TestLoaderMatchesReference:
             for directed in (True, False):
                 expected = load_outcome(reference_load_edge_list, path, directed)
                 assert load_outcome(load_edge_list, path, directed) == expected
+
+    @pytest.mark.parametrize("bad", ["7 7", "3 9223372036854775808 0.5"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_long_file_with_repeats_and_a_late_bad_line(self, bad, directed):
+        # 3000 lines over 40 ids repeat edges throughout; the bad line (a
+        # self-loop, or an id beyond int64) is the 2990th, so the line-by-line
+        # search for it passes thousands of lines and their warnings
+        rng = np.random.default_rng(11)
+        u = rng.integers(0, 40, size=3000)
+        v = (u + rng.integers(1, 40, size=3000)) % 40
+        lines = [f"{a} {b}" if a % 3 else f"{a} {b} 0.5" for a, b in zip(u.tolist(), v.tolist())]
+        lines[2989] = bad
+        text = "# header\n" + "\n".join(lines) + "\n"
+        expected = load_outcome(reference_load_edge_list, io.StringIO(text), directed)
+        result, caught = load_outcome(load_edge_list, io.StringIO(text), directed)
+        assert (result, caught) == expected
+        assert result[1] == 2991 and len(caught) > 1000
+
+    def test_checks_that_disagree_fail_loudly(self, monkeypatch):
+        # were _line_error to pass every line of a file the whole-array
+        # checks refuse, the load must say so rather than name no line
+        monkeypatch.setattr(graph_mod, "_line_error", lambda line: None)
+        with pytest.raises(RuntimeError, match="disagree"):
+            load_text("0 1\n2 2\n")
 
     def test_refuses_more_ids_than_edge_keys_hold(self, monkeypatch):
         # edge keys u * n + v would wrap past int64 beyond this many ids
@@ -247,6 +272,12 @@ class TestSocialGraphInvariants:
             with pytest.raises(ValueError, match=f"{name} must hold integer node ids"):
                 SocialGraph(3, *columns)
         assert SocialGraph(3, [], [], []).arc_count == 0  # numpy types [] as float64
+
+    @pytest.mark.parametrize("count", [2.7, np.float64(3.0), True])
+    def test_rejects_non_integer_node_count(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"node_count must be an integer, got {count!r}")):
+            SocialGraph(count, [0], [1], [0.5])
+        assert SocialGraph(np.int32(3), [0], [1], [0.5]).node_count == 3
 
     def test_arc_index_without_composite_keys(self, monkeypatch):
         keys = np.array([2, 0, 2, 1, 0])

@@ -160,6 +160,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             run_experiment(config)
 
+    @pytest.mark.parametrize(
+        "setting, flag, value",
+        [
+            ("samples", "--samples", 3.5),
+            ("samples", "--samples", True),
+            ("repetitions", "--reps", 2.5),
+            ("repetitions", "--reps", True),
+            ("master_seed", "--seed", 1.5),
+            ("master_seed", "--seed", True),
+        ],
+    )
+    def test_non_integer_count_or_seed_rejected(self, small_graph_file, tmp_path, setting, flag, value):
+        config = quick_config(small_graph_file, str(tmp_path / "r.csv"), **{setting: value})
+        with pytest.raises(ConfigError, match=re.escape(f"({flag}) must be an integer, got {value!r}")):
+            run_experiment(config)
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unreadable_graph_rejected(self, tmp_path):
         config = quick_config(str(tmp_path / "missing.txt"), str(tmp_path / "r.csv"))
         with pytest.raises(ConfigError, match="cannot read"):
@@ -606,6 +623,24 @@ class TestCli:
         assert not graph.exists()
         assert cli_main(["gen", "--kind", "random", "--nodes", "6", "--param", "0",
                          "--out", str(graph)]) == 0
+
+    def test_gen_no_nodes_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        code = cli_main(["gen", "--kind", "random", "--nodes", "0", "--param", "2", "--out", str(graph)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "node" in err and "got 0" in err, err
+        assert not graph.exists()
+
+    def test_gen_preferential_param_below_one_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        for param, named in (("0", "got 0"), ("-2", "got -2")):
+            code = cli_main(["gen", "--kind", "preferential", "--nodes", "5", "--param", param,
+                             "--out", str(graph)])
+            assert code == 2, param
+            err = capsys.readouterr().err
+            assert "param" in err and named in err, err
+        assert not graph.exists()
 
     def test_gen_negative_seed_exit_code(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
