@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 
 import numpy as np
 
@@ -400,7 +401,12 @@ class BenefitEstimator:
     exact int of `_target_bits` units, rounded once: the greedy selectors ask
     for the gains of many nodes against one seed set in one batch, and then
     about that set plus the node they committed, whose coverage is extended in
-    place.
+    place. An exact estimator, one whose target units sum to at most 2^53
+    (every unit-benefit run), keeps with that coverage each node's gained
+    units summed over the worlds, once asked. An extension by one seed drops
+    only the nodes whose reach meets the targets the seed newly covers, so
+    the next batch rescans those alone; every other gain is one division
+    (`_fresh_gains`). Any other change of seed set drops them all.
 
     On fixed worlds a gain is a pure function of (canonical seed set, node)
     and an estimate of the canonical seed set, so every answer is memoized
@@ -428,7 +434,14 @@ class BenefitEstimator:
         self.master_seed = int(master_seed)
         self.evaluations = 0
         bits, self._units, self._scale = _target_bits(economics)
-        self._last = None  # (key, uncovered masks, covered units, values, mean)
+        # then no world's value is rounded, so the fsum of a set's world
+        # values is the sum of their units over the worlds, divided by the
+        # scale and rounded once
+        self._exact = sum(self._units) <= 1 << 53
+        self._reach = {}  # node -> the OR of its row, for an exact estimator
+        # (key, uncovered masks, covered units, values, mean, units covered in
+        # all worlds, {node: units it gains in all worlds} or None if not exact)
+        self._last = None
         self._gains = {}  # canonical seeds -> {node: marginal gain}
         self._estimates = {}  # canonical seeds of two or more -> mean benefit
         wanted = None
@@ -455,10 +468,17 @@ class BenefitEstimator:
             raise ValueError(f"node {u} is not indexed: this estimator holds the rows of {len(self.nodes)} nodes")
 
     def _coverage(self, key):
-        """(key, uncovered target masks, covered units, values, mean), per world.
+        """(key, uncovered target masks, covered units, values, mean), per
+        world, then (units covered in all worlds, saved units).
 
         The masks are stored complemented (~cover), so the targets a node newly
         reaches are its mask & uncovered. Each changed world is settled once.
+
+        The saved units of an exact estimator (None if not exact) map a node
+        to the units it newly reaches over all worlds. They hold across an
+        extension by one seed for every node whose reach (the OR of its row)
+        misses all the targets the seed newly covers; the others are
+        dropped. Any other new key starts with none saved.
         """
         last = self._last
         if last is not None and last[0] == key:
@@ -466,10 +486,11 @@ class BenefitEstimator:
         rows = self._rows
         worlds = range(self.samples)
         if last is not None and len(key) == len(last[0]) + 1 and set(key).issuperset(last[0]):
-            _, uncovered, covered, vals, _ = last
+            _, uncovered, covered, vals, _, held, saved = last
             added = set(key).difference(last[0])
         else:
             uncovered, covered, vals = [-1] * self.samples, [0] * self.samples, [0.0] * self.samples
+            held, saved = 0, {} if self._exact else None
             added = key
         reached = [0] * self.samples
         for s in added:
@@ -477,13 +498,21 @@ class BenefitEstimator:
             for p in compress(worlds, row):
                 reached[p] |= row[p]
         units, scale = self._units, self._scale
+        newly = 0  # the targets newly covered in any world
         for p in compress(worlds, reached):
             gained = reached[p] & uncovered[p]
             if gained:
                 uncovered[p] ^= gained
-                covered[p] += sum(_bit_values(gained, units))
+                more = sum(_bit_values(gained, units))
+                covered[p] += more
+                held += more
                 vals[p] = covered[p] / scale
-        self._last = (key, uncovered, covered, vals, math.fsum(vals) / self.samples)
+                newly |= gained
+        if saved and newly:
+            reach = self._reach
+            for u in [u for u in saved if reach[u] & newly]:
+                del saved[u]
+        self._last = (key, uncovered, covered, vals, math.fsum(vals) / self.samples, held, saved)
         return self._last
 
     def estimate(self, seeds):
@@ -536,14 +565,40 @@ class BenefitEstimator:
         world's exact int, which is rounded once, so the world's value does not
         depend on how its covered set was accumulated. Worlds where u reaches
         no target cost nothing.
+
+        An exact estimator (all target units sum to at most 2^53) rounds no
+        world value, so the fsum of u's world values is the sum of all
+        covered units plus the units u gains, divided by the scale and
+        rounded once, which Python's int division gives. It keeps each node's
+        gained units with the coverage, and a node whose units are still
+        saved costs one division, not a pass over its row.
         """
-        _, uncovered, covered, vals, total = self._coverage(key)
+        _, uncovered, covered, vals, total, held, saved = self._coverage(key)
         rows, units, scale, samples = self._rows, self._units, self._scale, self.samples
         worlds = range(samples)
         # the units of a gained mask depend on the mask alone, so one table
         # serves every node of the batch: nodes gain the same targets in many worlds
         gained_units = {}
         gains = []
+        if saved is not None:
+            reach = self._reach
+            for u in nodes:
+                more = saved.get(u)
+                if more is None:
+                    row = rows[u]
+                    more = 0
+                    for p in compress(worlds, row):
+                        gained = row[p] & uncovered[p]
+                        if gained:
+                            units_of = gained_units.get(gained)
+                            if units_of is None:
+                                units_of = gained_units[gained] = sum(_bit_values(gained, units))
+                            more += units_of
+                    saved[u] = more
+                    if u not in reach:
+                        reach[u] = reduce(or_, row, 0)
+                gains.append((held + more) / scale / samples - total if more else 0.0)
+            return gains
         for u in nodes:
             row = rows[u]
             new_vals = None

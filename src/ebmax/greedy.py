@@ -48,6 +48,8 @@ def _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator=None):
 
     `pick(seeds, chosen, remaining)` returns the next (node, ratio, gain)
     among the affordable nodes not yet chosen, or None when there is none.
+    It is not asked once the remaining budget is below every node's cost,
+    since its answer is then None: a pick would only drain its candidates.
     With an `estimator`, each trace entry is charged the queries its pick
     made, the result carries the estimate of the seed set, and its
     evaluations are every query of the selection: the pick that stopped the
@@ -60,6 +62,7 @@ def _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator=None):
         return 0 if estimator is None else estimator.evaluations
 
     cost = economics.cost
+    cheapest = float(cost.min()) if len(cost) else math.inf
     seeds = []
     chosen = set()
     remaining = float(budget)
@@ -67,6 +70,9 @@ def _commit_loop(economics, budget, pick, stop_on_zero_gain, estimator=None):
     start = queries()
 
     while True:
+        if remaining < cheapest:
+            stop_reason = "no_affordable"
+            break
         before = queries()
         best = pick(seeds, chosen, remaining)
         if best is None:

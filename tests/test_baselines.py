@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ebmax.baselines as baselines_mod
+import helpers as helpers_mod
 from ebmax.baselines import (
     degree_discount_select,
     max_degree_select,
@@ -210,6 +212,83 @@ class TestPerSeedNeighbors:
             assert got.trace == want.trace, name
             assert got.spent == want.spent, name
             assert got.stop_reason == want.stop_reason, name
+
+
+class CountingHeap:
+    """heapq's three calls, counting the entries heaped and the pops."""
+
+    def __init__(self):
+        self.entries = self.pops = 0
+
+    def heapify(self, heap):
+        self.entries += len(heap)
+        heapq.heapify(heap)
+
+    def heappush(self, heap, item):
+        self.entries += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+class TestFillStopsWhenNothingFits:
+    @given(tangled_instances(max_nodes=8, max_pairs=14), st.floats(0.5, 20.0))
+    def test_no_pop_after_the_budget_is_below_every_cost(self, instance, budget):
+        # once the budget left is below the cheapest cost, the fill stops: it
+        # pops exactly what the reference popped up to its last commit, where
+        # it used to drain the heap. Otherwise it drains the heap as the
+        # reference does. Seeds, trace and stop reason are the reference's
+        g, econ = instance
+        cheapest = float(econ.cost.min())
+        for fill in (degree_discount_select, single_discount_select):
+            with pytest.MonkeyPatch.context() as mp:
+                ours = CountingHeap()
+                mp.setattr(baselines_mod, "heapq", ours)
+                got = fill(g, econ, budget)
+                theirs = CountingHeap()
+                mp.setattr(helpers_mod, "heapq", theirs)
+                at_commit = [0]
+                commit_loop = helpers_mod._commit_loop
+
+                def counted_loop(economics, budget, pick, stop_on_zero_gain):
+                    def counted(*args):
+                        best = pick(*args)
+                        if best is not None:
+                            at_commit.append(theirs.pops)
+                        return best
+
+                    return commit_loop(economics, budget, counted, stop_on_zero_gain)
+
+                mp.setattr(helpers_mod, "_commit_loop", counted_loop)
+                mp.setattr(baselines_mod, "_discounted_select", reference_discounted_select)
+                want = fill(g, econ, budget)
+            assert (got.seeds, got.trace, got.stop_reason) == (want.seeds, want.trace, want.stop_reason)
+            left = got.trace[-1].budget_left if got.trace else budget
+            if left < cheapest:
+                assert got.stop_reason in ("no_affordable", "budget_exhausted")
+                assert ours.pops == at_commit[-1]
+            else:
+                assert ours.pops == theirs.pops
+
+    def test_a_fill_of_few_seeds_leaves_its_heap(self):
+        # many nodes, few of them affordable together, as on er10k-hop: a
+        # discount fill used to pop its whole heap after its last commit
+        rng = np.random.default_rng(3)
+        n = 400
+        pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(1200, 2)) if u != v}
+        g = undirected(n, sorted(pairs))
+        costs = dict(enumerate(rng.uniform(1.0, 50.0, n).tolist()))
+        econ = make_economics(n, targets=range(0, n, 5), costs=costs)
+        for fill in (degree_discount_select, single_discount_select):
+            with pytest.MonkeyPatch.context() as mp:
+                ours = CountingHeap()
+                mp.setattr(baselines_mod, "heapq", ours)
+                got = fill(g, econ, 100.0)
+            assert got.stop_reason == "no_affordable"
+            assert got.trace[-1].budget_left < econ.cost.min()
+            assert len(got.seeds) <= ours.pops < ours.entries - n // 2
 
 
 def pinned_instances():

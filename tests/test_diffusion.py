@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ebmax.diffusion import BenefitEstimator, _draw_worlds, _target_masks
+from ebmax.graph import NodeEconomics
 
 from helpers import (
     ExactBenefitOracle,
@@ -310,3 +311,89 @@ class TestOracleConsistency:
             spread = float(np.std(vals, ddof=1))
             tol = 4.0 * spread / math.sqrt(R) + 1e-12
             assert abs(est.estimate(seeds) - exact) <= tol
+
+
+def reference_estimate(est, seeds):
+    """The estimate of the seed set as the fsum of its per-world values over R,
+    computed from the estimator's coverage, with no saved units read."""
+    return math.fsum(per_sample_benefits(est, seeds)) / est.samples
+
+
+# target benefits by kind: unit and dyadic ones sum to at most 2^53 units, so
+# their estimators are exact; two or more of the odd-numerator ones in (1, 2)
+# pass 2^53 units, so their estimators round
+BENEFITS = {
+    "unit": st.just(1.0),
+    "dyadic": st.integers(1, 64).map(lambda k: k / 8),
+    "rounded": st.integers(2**51, 2**52 - 1).map(lambda j: (2 * j + 1) / 2**52),
+}
+
+
+@st.composite
+def query_sequences(draw):
+    """(graph, economics, kind, samples, master seed, steps). A step sets
+    the seed set, extending it by one node (`extend`), keeping it
+    (`repeat`) or jumping to an unrelated set (`jump`), or asks an estimate
+    of some other set (`estimate`); each step then asks the gains of the
+    non-seed nodes in its `ask` bits."""
+    g, drawn = draw(tangled_instances(max_nodes=7, max_pairs=8))
+    n = g.node_count
+    kind = draw(st.sampled_from(sorted(BENEFITS)))
+    node = st.integers(0, n - 1)
+    targets = sorted(draw(st.sets(node, min_size=2 if kind == "rounded" else 1)))
+    benefit = np.zeros(n)
+    for t in targets:
+        benefit[t] = draw(BENEFITS[kind])
+    economics = NodeEconomics(cost=drawn.cost, benefit=benefit, targets=np.asarray(targets, dtype=np.int64))
+    step = st.one_of(
+        st.tuples(st.just("extend"), node),
+        st.tuples(st.just("repeat"), st.just(())),
+        st.tuples(st.just("jump"), st.frozensets(node)),
+        st.tuples(st.just("estimate"), st.frozensets(node, min_size=2)),
+    )
+    ask = st.one_of(st.just(2**n - 1), st.integers(0, 2**n - 1))
+    steps = draw(st.lists(st.tuples(step, ask), max_size=12))
+    return g, economics, kind, draw(st.integers(1, 10)), draw(st.integers(0, 2**32)), steps
+
+
+class TestGainsAcrossCommits:
+    """An exact estimator keeps each node's gained units across one-seed
+    extensions; every gain must still be the difference of two estimates."""
+
+    @given(query_sequences())
+    def test_every_gain_is_a_difference_of_fresh_estimates(self, case):
+        g, econ, kind, samples, seed, steps = case
+        est = BenefitEstimator(g, econ, samples=samples, master_seed=seed)
+        fresh = BenefitEstimator(g, econ, samples=samples, master_seed=seed)
+        assert est._exact is (kind != "rounded")
+        seeds = set()
+        for (op, arg), ask in steps:
+            if op == "extend":
+                seeds.add(arg)
+            elif op == "jump":
+                seeds = set(arg)
+            elif op == "estimate":
+                assert est.estimate(arg) == reference_estimate(fresh, arg)
+            nodes = [v for v in range(g.node_count) if v not in seeds and ask >> v & 1]
+            base = reference_estimate(fresh, seeds)
+            want = [reference_estimate(fresh, seeds | {u}) - base for u in nodes]
+            assert est.marginal_gains(seeds, nodes) == want
+
+    @pytest.mark.parametrize(
+        "units, exact", [((2**52, 2**51 + 1, 2**51 - 1), True), ((2**52, 2**51 + 1, 2**51), False)]
+    )
+    def test_units_summing_to_two_to_the_53_are_exact(self, units, exact):
+        # the three targets' units (scale 1) sum to 2^53, the most an exact
+        # estimator may hold, or one more, which rounds
+        arcs = [(0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (4, 3, 0.5), (4, 2, 0.5), (2, 0, 0.5), (3, 4, 0.3)]
+        g = make_graph(5, arcs)
+        econ = make_economics(5, targets=[1, 2, 3], benefits=dict(zip([1, 2, 3], map(float, units))))
+        est = BenefitEstimator(g, econ, samples=16, master_seed=11)
+        fresh = BenefitEstimator(g, econ, samples=16, master_seed=11)
+        assert est._exact is exact
+        # extensions by one seed, a jump to an unrelated set, and an extension of it
+        for seeds in ((), (0,), (0, 4), (0, 1, 4), (2,), (2, 3)):
+            nodes = [v for v in range(5) if v not in seeds]
+            base = reference_estimate(fresh, set(seeds))
+            want = [reference_estimate(fresh, {*seeds, u}) - base for u in nodes]
+            assert est.marginal_gains(seeds, nodes) == want
