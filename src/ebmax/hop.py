@@ -12,10 +12,18 @@ probability, a node being certain to influence itself. Walks sharing arcs
 are treated as independent, so on graphs with overlapping paths this
 overestimates; it is exact when all source-target paths are arc-disjoint.
 
-Walks are built a level at a time in numpy, for a batch of targets at once:
-each level expands its nodes' in-arcs against the walks one level down and
-multiplies every (node, source) pair's survival factors in in-arc order.
-Both reductions, that product and each node's sum of gains over targets,
+Walks are built a level at a time in numpy: each level expands its nodes'
+in-arcs against the walks one level down and multiplies every (node,
+source) pair's survival factors in in-arc order. A node's walk at a given
+depth does not depend on which targets need it, so the levels below the
+top are built once per run of targets, for every node the run needs, and
+every batch of targets reads them to build its top level. The targets form
+one run unless those levels would hold more than `_LEVEL_ENTRIES` (node,
+source) entries, 16 bytes each: 48 MB at 3M entries. At two hops a level
+holds about one entry per node plus one per arc, so one run covers graphs
+of about 170k nodes of mean degree 15; at `--hop 3` a 10k-node graph of
+that degree bounds 2.6M entries, one run that peaks at about 50 MB. Both
+reductions, that product and each node's sum of gains over targets,
 go through numpy's unbuffered `ufunc.at`, which applies its operands one
 at a time in array order, so the floats are those of the per-target
 recursion, bit for bit (tests/helpers.py keeps that recursion as the
@@ -35,9 +43,10 @@ from .greedy import fill_by_rank
 
 
 # Scoring has no recursion, so this limit no longer guards the stack. It stays
-# because every hop adds one level pass per batch of targets, over walks that
-# can hold every node: a mistyped `--hop 100000` would run for hours rather
-# than fail at the boundary.
+# because every hop adds one level pass per run of targets, over walks that
+# can hold every node, and deeper levels split the targets into more runs:
+# a mistyped `--hop 100000` would run for hours rather than fail at the
+# boundary.
 MAX_HOPS = 100
 
 
@@ -53,8 +62,9 @@ class HopConfig:
 
     def __post_init__(self):
         _check_hops(self.hops)
-        if not (0.0 <= self.cutoff <= 1.0):
-            raise ValueError(f"cutoff probability must lie in [0, 1], got {self.cutoff}")
+        cutoff = self.cutoff
+        if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real) or not 0.0 <= cutoff <= 1.0:
+            raise ValueError(f"cutoff probability must lie in [0, 1], got {cutoff!r}")
 
 
 @dataclass
@@ -65,11 +75,20 @@ class ScoreTable:
     score: np.ndarray
 
 
-# Targets are scored in batches whose (node, source) entries, as bounded by
-# `_walk_entries` and summed over the batch, stay within this many, so the
-# peak memory of scoring does not grow with the target count. A target
-# whose own bound is larger is a batch by itself.
+# Top-level walks are built in batches of targets whose (node, source)
+# entries, as bounded by `_walk_entries` over each target's whole walk tree
+# and summed over the batch, stay within this many; lower levels are built
+# in batches of nodes whose expanded entries do. So the transient memory of
+# scoring does not grow with the node or target count. A target or node
+# whose own count is larger is a batch by itself.
 _BATCH_ENTRIES = 50_000
+
+# The walks kept below the top level, as bounded by `_walk_entries`: the
+# targets are split into ascending-id runs whose lower levels hold at most
+# this many (node, source) entries, 16 bytes each, while a level and the one
+# below it are kept; each run builds its lower levels once. A target whose
+# own bound is larger is a run by itself.
+_LEVEL_ENTRIES = 3_000_000
 
 
 def _ranges(starts, lengths):
@@ -95,17 +114,18 @@ def _in_range(offsets, nodes):
 
 
 def _walk_entries(graph, hops):
-    """Upper bound, per node, on the (node, source) entries its hop walk
-    expands: the entries of each in-neighbor's walk one level down, plus
-    theirs, and so on. A walk holds at most n sources."""
+    """Upper bounds per node, as `(held, work)`: `held[d]` on the sources
+    of its depth-d walk, at most n, and `work` on the (node, source) entries
+    building its depth-`hops` walk from scratch expands: the entries of
+    each in-neighbor's walk one level down, plus theirs, and so on."""
     n = graph.node_count
     src, dst = graph.src, graph.dst
-    held = np.ones(n)  # walk of depth 0: the node alone
+    held = [np.ones(n)]  # walk of depth 0: the node alone
     work = np.zeros(n)
     for _ in range(hops):
-        work = np.bincount(dst, weights=held[src] + work[src], minlength=n)
-        held = np.minimum(n, 1.0 + np.bincount(dst, weights=held[src], minlength=n))
-    return work
+        work = np.bincount(dst, weights=held[-1][src] + work[src], minlength=n)
+        held.append(np.minimum(n, 1.0 + np.bincount(dst, weights=held[-1][src], minlength=n)))
+    return held, work
 
 
 def _level(in_arcs, nodes, below, top):
@@ -152,37 +172,86 @@ def _level(in_arcs, nodes, below, top):
     return nodes, node_off, source, 1.0 - survive
 
 
-def _walks(in_arcs, targets, hops):
-    """Walks of `targets` (in their order) within `hops` reverse arcs, each
-    without its target: the nodes each level needs are found top-down (the
-    targets, their in-neighbors, theirs, ...) and their walks are built
-    bottom-up with `_level`."""
+def _levels(in_arcs, targets, hops):
+    """The nodes each level needs, top-down: `targets`, their in-neighbors,
+    theirs, and so on, `hops + 1` arrays in all, each below the first in
+    ascending id. Level k holds walks of depth `hops - k`."""
     offsets, tails, _ = in_arcs
     levels = [targets]
     for _ in range(hops):
         needed = np.zeros(len(offsets) - 1, dtype=bool)
         needed[tails[_in_range(offsets, levels[-1])[0]]] = True
         levels.append(np.flatnonzero(needed))
-    ground = levels.pop()
-    walks = (ground, np.arange(len(ground) + 1), ground, np.ones(len(ground)))
-    while levels:
-        nodes = levels.pop()
-        walks = _level(in_arcs, nodes, walks, top=not levels)
-    return walks
+    return levels
 
 
-def _batches(targets, entries):
-    """Split `targets`, in order, into runs whose `entries` sum to at most
-    `_BATCH_ENTRIES`, every run holding at least one target."""
+def _batches(nodes, entries):
+    """Split `nodes`, in order, into batches whose `entries` sum to at most
+    `_BATCH_ENTRIES`, every batch holding at least one node."""
     cap = _BATCH_ENTRIES
     first, held = 0, 0.0
     for i, e in enumerate(entries.tolist()):
         if i > first and held + e > cap:
-            yield targets[first:i]
+            yield nodes[first:i]
             first, held = i, 0.0
         held += e
-    if first < len(targets):
-        yield targets[first:]
+    if first < len(nodes):
+        yield nodes[first:]
+
+
+def _runs(in_arcs, targets, hops, held):
+    """Split `targets`, in order, into runs whose lower levels fit
+    `_LEVEL_ENTRIES`, and yield each run's `_levels`. A run's lower levels
+    hold, as bounded by `held`, the entries of levels k and k + 1 while
+    level k is built; a run that does not fit is halved until it does or
+    holds one target."""
+    first = 0
+    while first < len(targets):
+        end = len(targets)
+        while True:
+            levels = _levels(in_arcs, targets[first:end], hops)
+            sizes = [held[hops - k][levels[k]].sum() for k in range(1, hops + 1)]
+            kept = max(a + b for a, b in zip(sizes, sizes[1:] + [0.0]))
+            if end - first == 1 or kept <= _LEVEL_ENTRIES:
+                break
+            end = first + (end - first) // 2
+        yield levels
+        first = end
+
+
+def _expanded(in_arcs, nodes, below):
+    """The entries `_level` expands for each of `nodes` from the walks
+    `below`: the sources of each in-neighbor's walk, plus its own."""
+    offsets, tails, _ = in_arcs
+    size = np.zeros(len(offsets) - 1)
+    size[below[0]] = np.diff(below[1])
+    arc, degree = _in_range(offsets, nodes)
+    return 1.0 + np.bincount(np.repeat(np.arange(len(nodes)), degree), weights=size[tails[arc]], minlength=len(nodes))
+
+
+def _lower(in_arcs, levels, held):
+    """Walks of `levels[1]`, built bottom-up from the depth-0 walks of the
+    last level. Each level is built once, in batches of nodes whose entries
+    `_level` expands (each in-neighbor's walk one level down, plus the
+    node's own) stay within `_BATCH_ENTRIES`, into arrays sized by its bound
+    in `held`, and is kept only while the level above it is built."""
+    ground = levels[-1]
+    walks = (ground, np.arange(len(ground) + 1), ground, np.ones(len(ground)))
+    for depth in range(1, len(levels) - 1):
+        nodes = levels[-1 - depth]
+        entries = _expanded(in_arcs, nodes, walks)
+        bound = int(held[depth][nodes].sum())
+        node_off = np.zeros(len(nodes) + 1, dtype=np.int64)
+        sources, probs = np.empty(bound, dtype=np.int64), np.empty(bound)
+        first = 0
+        for batch in _batches(nodes, entries):
+            _, off, source, p = _level(in_arcs, batch, walks, top=False)
+            at, end = node_off[first], node_off[first] + off[-1]
+            node_off[first + 1:first + 1 + len(batch)] = at + off[1:]
+            sources[at:end], probs[at:end] = source, p
+            first += len(batch)
+        walks = (nodes, node_off, sources[:node_off[-1]], probs[:node_off[-1]])
+    return walks
 
 
 def compute_scores(graph, economics, config):
@@ -195,23 +264,36 @@ def compute_scores(graph, economics, config):
     contribution per target and the contributions are added in ascending
     target order, so each node's accumulation order is deterministic.
 
-    Targets are scored in ascending-id batches (`_batches`), each batch's
-    walks at once (`_walks`).
+    The targets form ascending-id runs (`_runs`; one run unless their lower
+    levels would exceed `_LEVEL_ENTRIES`). For each run, the nodes every
+    level needs are found top-down (`_levels`), the levels below the top
+    are built once, bottom-up (`_lower`), and the top level is built in
+    batches of targets (`_batches`) that all read them. A node's walk at a
+    given depth does not depend on which targets needed it, so the runs and
+    batches change no float.
     """
     graph.require_probabilities()
     if economics.node_count != graph.node_count:
         raise ValueError("economics sized for a different graph")
     in_arcs = _in_arcs(graph)
+    held, work = _walk_entries(graph, config.hops)
     benefit = economics.benefit.astype(np.float64)
     eb = benefit.copy()
-    targets = economics.targets
-    for batch in _batches(targets, 1.0 + _walk_entries(graph, config.hops)[targets]):
-        _, node_off, source, p = _walks(in_arcs, batch, config.hops)
-        keep = p >= config.cutoff
-        gain = p[keep] * np.repeat(benefit[batch], np.diff(node_off))[keep]
-        # entries run by (target, source), so each source's gains are added
-        # one target at a time in ascending id
-        np.add.at(eb, source[keep], gain)
+    for levels in _runs(in_arcs, economics.targets, config.hops, held):
+        run = levels[0]
+        below = _lower(in_arcs, levels, held)
+        # top batches are bounded by each target's whole walk tree, as when
+        # every batch built its own lower levels, so no top batch holds more
+        for batch in _batches(run, 1.0 + work[run]):
+            _, node_off, source, p = _level(in_arcs, batch, below, top=True)
+            keep = p >= config.cutoff
+            gain = p[keep] * np.repeat(benefit[batch], np.diff(node_off))[keep]
+            # entries run by (target, source), so each source's gains are
+            # added one target at a time in ascending id
+            np.add.at(eb, source[keep], gain)
+        # free this run's levels before the next run builds its own, so
+        # no two runs' levels are held at once
+        del below
     score = eb / economics.cost
     return ScoreTable(expected_benefit=eb, score=score)
 

@@ -20,7 +20,7 @@ from ebmax.diffusion import (
 )
 from ebmax.graph import _MAX_NODE_ID, GraphParseError, NodeEconomics, SocialGraph
 from ebmax.greedy import _commit_loop
-from ebmax.hop import _check_hops, _in_arcs, _walks
+from ebmax.hop import _check_hops, _in_arcs, _level, _levels, _lower, _walk_entries
 
 
 def make_graph(n, arcs, directed=True, *, original_ids=None):
@@ -509,7 +509,8 @@ class ExactBenefitOracle:
 
 def influence_probability(graph, source, target, hops):
     """Hop-bounded probability that `source` influences `target`, from the
-    production kernel (`hop._walks`) for this one target.
+    production kernel (`hop._lower` and a top `hop._level`) for this one
+    target.
 
     Returns 0.0 when the source lies outside the reverse hop neighborhood,
     and 1.0 when the source is the target: a seed earns its own benefit.
@@ -519,7 +520,10 @@ def influence_probability(graph, source, target, hops):
     source, target = _query_nodes((source, target), (), graph.node_count)
     if source == target:
         return 1.0
-    _, _, sources, probs = _walks(_in_arcs(graph), np.array([target]), hops)
+    in_arcs = _in_arcs(graph)
+    levels = _levels(in_arcs, np.array([target]), hops)
+    below = _lower(in_arcs, levels, _walk_entries(graph, hops)[0])
+    _, _, sources, probs = _level(in_arcs, levels[0], below, top=True)
     at = np.flatnonzero(sources == source)
     return float(probs[at[0]]) if len(at) else 0.0
 

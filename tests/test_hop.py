@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -192,6 +194,17 @@ class TestComputeScores:
                 HopConfig(hops=bad)
         assert HopConfig(hops=np.int64(3)).hops == 3
 
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, b"0", 1j, 1.5, -0.25, math.nan])
+    def test_cutoff_must_be_a_real_number_in_the_unit_interval(self, bad):
+        # a bool once passed as 0.0 or 1.0, and a str or None raised a
+        # TypeError that named neither the setting nor the value
+        with pytest.raises(ValueError, match=re.escape(f"cutoff probability must lie in [0, 1], got {bad!r}")):
+            HopConfig(cutoff=bad)
+
+    def test_cutoff_takes_any_real_number_in_the_unit_interval(self):
+        for good in (0, 1, 0.5, np.float64(0.25), np.float32(0.5), Fraction(1, 3)):
+            assert HopConfig(cutoff=good).cutoff == good
+
     @given(tangled_instances(), st.sampled_from([1, 2, 3, 4, 6]), st.sampled_from([0.0, 0.1, 0.3]))
     # three parallel middle nodes 1, 2, 3 give the pair (target 4, source 0)
     # three survival factors whose product, rounded, depends on their order
@@ -214,13 +227,19 @@ class TestComputeScores:
         assert table.score.tobytes() == score.tobytes()
 
 
-    @given(tangled_instances(), st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 40, math.inf]))
-    def test_batching_does_not_change_a_float(self, instance, hops, cap):
-        # cap 1 makes every target its own batch, inf puts them all in one
+    @given(
+        tangled_instances(),
+        st.sampled_from([1, 2, 3, 4, 5]),
+        st.sampled_from([1, 40, math.inf]),
+        st.sampled_from([1, 30, math.inf]),
+    )
+    def test_batching_does_not_change_a_float(self, instance, hops, cap, level_cap):
+        # cap 1 makes every target and node its own batch, level cap 1 every
+        # target its own run; inf puts them all in one
         g, econ = instance
         config = HopConfig(hops=hops, cutoff=0.1)
         want = compute_scores(g, econ, config)
-        with mock.patch.object(hop, "_BATCH_ENTRIES", cap):
+        with mock.patch.object(hop, "_BATCH_ENTRIES", cap), mock.patch.object(hop, "_LEVEL_ENTRIES", level_cap):
             got = compute_scores(g, econ, config)
         assert got.expected_benefit.tobytes() == want.expected_benefit.tobytes()
         assert got.score.tobytes() == want.score.tobytes()
@@ -228,15 +247,15 @@ class TestComputeScores:
     def test_batches_split_a_larger_graph_without_changing_a_float(self):
         rng = np.random.default_rng(106)
         g, econ = random_instance(rng, max_nodes=60, max_arcs=400)
-        config = HopConfig(hops=3, cutoff=0.05)
-        want = compute_scores(g, econ, config)
-        eb, score = reference_scores(g, econ, config)
-        assert want.expected_benefit.tobytes() == eb.tobytes()
-        for cap in (1, 100, math.inf):
-            with mock.patch.object(hop, "_BATCH_ENTRIES", cap):
-                got = compute_scores(g, econ, config)
-            assert got.expected_benefit.tobytes() == eb.tobytes()
-            assert got.score.tobytes() == score.tobytes()
+        for hops in (1, 2, 3, 4, 5):
+            config = HopConfig(hops=hops, cutoff=0.05)
+            eb, score = reference_scores(g, econ, config)
+            for cap in (1, 100, math.inf):
+                for level_cap in (1, 300, 1500, math.inf):
+                    with mock.patch.object(hop, "_BATCH_ENTRIES", cap), mock.patch.object(hop, "_LEVEL_ENTRIES", level_cap):
+                        got = compute_scores(g, econ, config)
+                    assert got.expected_benefit.tobytes() == eb.tobytes()
+                    assert got.score.tobytes() == score.tobytes()
 
     def test_targets_without_in_arcs_earn_only_their_own_benefit(self):
         # 0 and 2 have no in-arcs; target 1 credits its in-neighbor 0
@@ -292,6 +311,34 @@ class TestComputeScores:
         finally:
             tracemalloc.stop()
         assert peak < 15 * 2**20, f"scoring peaks at {peak / 2**20:.1f} MB"
+
+    def test_three_hop_scoring_peaks_under_the_level_cap(self):
+        # a 3k-node, 22.5k-edge undirected graph at three hops, whose lower
+        # levels bound about 750k entries: at a cap of 200k the targets form
+        # 20 runs, and one run's kept levels (16 bytes an entry) plus 2 MB
+        # for one batch of 5000 entries and the in-arc arrays hold the peak.
+        # Without the cap the same scoring peaks above 13 MB, and with a
+        # run's levels kept while the next run builds its own, above 6 MB
+        rng = np.random.default_rng(0)
+        n, edges = 3000, 22_500
+        u = rng.integers(0, n, size=edges)
+        v = (u + rng.integers(1, n, size=edges)) % n
+        src, dst = np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel()
+        g = SocialGraph(n, src, dst, np.zeros(2 * edges), directed=False)
+        g = assign_probabilities(g, 0.1, seed=1)
+        econ = assign_economics(g, "random", 0.2, seed=2)
+        cap = 200_000
+        held, _ = hop._walk_entries(g, 3)
+        levels = hop._levels(hop._in_arcs(g), econ.targets, 3)
+        assert held[2][levels[1]].sum() > 3 * cap
+        with mock.patch.object(hop, "_LEVEL_ENTRIES", cap), mock.patch.object(hop, "_BATCH_ENTRIES", 5000):
+            tracemalloc.start()
+            try:
+                compute_scores(g, econ, HopConfig(hops=3, cutoff=0.1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * cap + 2 * 2**20, f"scoring peaks at {peak / 2**20:.1f} MB"
 
 
 class TestHopBasedSelect:
