@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from functools import reduce
 from itertools import compress
-from operator import itemgetter, or_
+from operator import is_, itemgetter, or_
 
 import numpy as np
 
@@ -80,8 +81,9 @@ def _canonical_seeds(seeds, node_count):
 
 def _query_nodes(nodes, key, node_count):
     """The queried nodes as a list of int ids, checked as one batch against
-    the canonical seed set `key`: integers (no bools or floats), inside
-    [0, node_count) and not seeds. The error names the first offending node."""
+    the seed set `key`, a tuple or a set: integers (no bools or floats),
+    inside [0, node_count) and not seeds. The error names the first
+    offending node."""
     nodes = list(nodes)
     if not set(map(type, nodes)) <= {int}:  # as in _canonical_seeds
         nodes = [as_node_id(u) for u in nodes]
@@ -443,6 +445,9 @@ class BenefitEstimator:
         # all worlds, {node: units it gains in all worlds} or None if not exact)
         self._last = None
         self._gains = {}  # canonical seeds -> {node: marginal gain}
+        # the seeds `marginal_gains` was last given, as a tuple, with their
+        # canonical key, its members and its gain table (None until stored)
+        self._asked = ((), (), frozenset(), None)
         self._estimates = {}  # canonical seeds of two or more -> mean benefit
         wanted = None
         if nodes is not None:
@@ -523,7 +528,7 @@ class BenefitEstimator:
         self.evaluations += 1
         if len(key) == 1:
             # the total of the empty set is 0.0, so its gain table holds the same floats
-            return self._memo_gains((), key)[0]
+            return self._memo_gains((), key, self._gains.setdefault((), {}))[0]
         mean = self._estimates.get(key)
         if mean is None:
             mean = self._estimates[key] = self._coverage(key)[4]
@@ -539,19 +544,48 @@ class BenefitEstimator:
         only the gains not asked before are computed. A batch with a bad node
         raises before any query is charged or stored.
         """
-        key = _canonical_seeds(seeds, self.graph.node_count)
-        nodes = _query_nodes(nodes, key, self.graph.node_count)
+        key, members, known = self._seed_key(seeds)
+        nodes = _query_nodes(nodes, members, self.graph.node_count)
         if self.nodes is not None:
             self._require_indexed(key + tuple(nodes))
         self.evaluations += len(nodes)
-        return self._memo_gains(key, nodes)
-
-    def _memo_gains(self, key, nodes):
-        """The gains of checked `nodes` against the canonical `key`, each
-        computed once per estimator."""
-        known = self._gains.get(key)
         if known is None:
-            known = self._gains[key] = {}
+            known = self._gains.setdefault(key, {})
+            self._asked = self._asked[:3] + (known,)
+        return self._memo_gains(key, nodes, known)
+
+    def _seed_key(self, seeds):
+        """`(key, members, gain table or None)` of the seeds.
+
+        Lazy greedy asks one gain at a time against seeds that stay the same
+        between commits and then grow by one. So the seeds last asked about
+        are kept with their key: the same objects again, or those and one
+        more plain int inside the node range, reuse it (a seed already among
+        them leaves it as it is). Anything else is canonicalised from
+        scratch, so it raises what `_canonical_seeds` raises.
+        """
+        seeds = tuple(seeds)
+        asked, key, members, known = self._asked
+        grown = len(seeds) - len(asked)
+        reuse = 0 <= grown <= 1 and all(map(is_, seeds, asked))
+        if reuse and grown:
+            s = seeds[-1]
+            reuse = type(s) is int and 0 <= s < self.graph.node_count
+            if reuse and s not in members:
+                at = bisect_left(key, s)
+                key = key[:at] + (s,) + key[at:]
+                members = members | {s}
+                known = self._gains.get(key)
+        if not reuse:
+            key = _canonical_seeds(seeds, self.graph.node_count)
+            members = frozenset(key)
+            known = self._gains.get(key)
+        self._asked = (seeds, key, members, known)
+        return key, members, known
+
+    def _memo_gains(self, key, nodes, known):
+        """The gains of checked `nodes` against the canonical `key`, each
+        computed once per estimator and stored in `known`, its gain table."""
         missing = [u for u in dict.fromkeys(nodes) if u not in known]
         if missing:
             known.update(zip(missing, self._fresh_gains(key, missing)))

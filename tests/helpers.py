@@ -412,12 +412,11 @@ def reference_discounted_select(graph, economics, budget, discount):
 
 
 @st.composite
-def tangled_instances(draw, max_nodes=7, max_pairs=10):
+def tangled_instances(draw, max_nodes=7, max_pairs=10, prob=st.floats(0.01, 1.0)):
     """Small directed graph with cycles, reciprocal and parallel arcs, plus
-    random economics; every arc probability is drawn on its own."""
+    random economics; every arc probability is drawn on its own from `prob`."""
     n = draw(st.integers(2, max_nodes))
     node = st.integers(0, n - 1)
-    prob = st.floats(0.01, 1.0)
     pairs = draw(st.lists(st.tuples(node, node).filter(lambda uv: uv[0] != uv[1]), max_size=max_pairs))
     arcs = []
     for u, v in pairs:

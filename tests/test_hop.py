@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -15,6 +16,7 @@ from ebmax.graph import (
     SocialGraph,
     assign_economics,
     assign_probabilities,
+    load_edge_list,
 )
 from ebmax.hop import (
     HopConfig,
@@ -38,6 +40,25 @@ def reachability_oracle(graph, source, target):
     """Exact P(source reaches target) by full live-subset enumeration."""
     econ = make_economics(graph.node_count, targets=[target])
     return ExactBenefitOracle(graph, econ).estimate({source})
+
+
+def near_cutoff_probs(cutoff):
+    """Arc probabilities at and around `cutoff`: it and one ulp either side,
+    half of it and one ulp either side (two such x sum to about the cutoff),
+    0.5 (which halves an arc's x exactly) and 1.0 (which passes a walk's
+    probability on unchanged)."""
+    half = cutoff / 2
+    values = {cutoff, half, 0.5, 1.0}
+    for v in (cutoff, half):
+        values.update((float(np.nextafter(v, 0.0)), float(np.nextafter(v, 2.0))))
+    return sorted(v for v in values if 0.0 < v <= 1.0)
+
+
+@st.composite
+def near_cutoff_cases(draw):
+    """(tangled instance, cutoff), its arc probabilities near the cutoff."""
+    cutoff = draw(st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.0]))
+    return draw(tangled_instances(prob=st.sampled_from(near_cutoff_probs(cutoff)))), cutoff
 
 
 def disjoint_paths_instance(rng, hops):
@@ -227,6 +248,26 @@ class TestComputeScores:
         assert table.score.tobytes() == score.tobytes()
 
 
+    @given(near_cutoff_cases(), st.integers(1, 4))
+    # node 1's walk from 0 (x = 0.05) misses the cutoff one level down, yet
+    # lifts the top pair (2, 0) above it: only the top level may be pruned
+    @example(
+        ((make_graph(3, [(0, 2, 0.1), (0, 1, 0.05), (1, 2, 1.0)]), make_economics(3, targets=[2], benefits={2: 10.0})), 0.1),
+        2,
+    )
+    def test_pruning_near_the_cutoff_changes_no_float(self, case, hops):
+        # the top level drops sources by a union bound with a rounding
+        # allowance; pairs whose x sum to the cutoff or an ulp either side,
+        # and single factors an ulp from it, must be scored as the recursion
+        # scores them
+        instance, cutoff = case
+        g, econ = instance
+        config = HopConfig(hops=hops, cutoff=cutoff)
+        table = compute_scores(g, econ, config)
+        eb, score = reference_scores(g, econ, config)
+        assert table.expected_benefit.tobytes() == eb.tobytes()
+        assert table.score.tobytes() == score.tobytes()
+
     @given(
         tangled_instances(),
         st.sampled_from([1, 2, 3, 4, 5]),
@@ -339,6 +380,47 @@ class TestComputeScores:
             finally:
                 tracemalloc.stop()
         assert peak < 16 * cap + 2 * 2**20, f"scoring peaks at {peak / 2**20:.1f} MB"
+
+    def test_golden_score_tables_at_workload_scale(self, tmp_path):
+        # the er10k-hop workload's graph and settings: many factors per pair
+        # and many pairs near the cutoff, which the small property graphs
+        # seldom give. The digests were recorded before the top level was
+        # pruned. At three hops every pair above 0.05 also clears 0.1 here
+        # (each neighbour's 0.1 arc gains walks back through the target), so
+        # both cutoffs give one table.
+        from ebmax.harness import _TAG_ECON, _TAG_PROB, derive_seed, generate_synthetic
+
+        path = generate_synthetic("random", 10_000, 15, 7, str(tmp_path / "er10k.txt"))
+        g = assign_probabilities(load_edge_list(path, directed=False), "trivalency", seed=derive_seed(7, _TAG_PROB))
+        econ = assign_economics(g, "random", 0.2, seed=derive_seed(7, _TAG_ECON))
+        three_hops = (
+            "9a37af53d0ad34e4af77024ba62889100328ce22ac41256575ca2a63f14b8cb5",
+            "bcfbc3796939fc7008d298467d304e63f4a47d535cc1d9a936a8b34a3896aa0b",
+        )
+        golden = {
+            (1, 0.05): (
+                "c7327595e65e2416acdb9ded415cb59bdf0927963e5ab26f4d37f7cbe7f67bef",
+                "22156276d213fc88ffd580c3d599e4a60b6ef059a7899c27011e5991361ec58d",
+            ),
+            (1, 0.1): (
+                "e9a1a03503a6a6ed19ad45a820636ed6e7955189a8673a6d07f887e085549fab",
+                "70ca328107fe0303c74cefdc24b1332c60287be7d8f95715267a7a2c16feb1d8",
+            ),
+            (2, 0.05): (
+                "eb211844b7f2a4a1f58e39d33095a7396319526ad47628e58933d20f8f59bac9",
+                "83cc84508861aa4fc00007b7372f21f2e731aaa5547f8f85447136402ec4cbe5",
+            ),
+            (2, 0.1): (
+                "edd67e99031513355699fc97000fbdeb904317584067a9dc391510f1e5187eca",
+                "67374327b358eb3c11dfbc974b0c2f8da66179166bbf408b625cfd7b7b8556a7",
+            ),
+            (3, 0.05): three_hops,
+            (3, 0.1): three_hops,
+        }
+        for (hops, cutoff), want in golden.items():
+            table = compute_scores(g, econ, HopConfig(hops=hops, cutoff=cutoff))
+            got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (table.expected_benefit, table.score))
+            assert got == want, (hops, cutoff)
 
 
 class TestHopBasedSelect:

@@ -587,6 +587,54 @@ def test_a_bad_batch_raises_naming_the_node_and_charges_nothing():
         assert est.marginal_gains((np.int64(0),), [np.int32(1), 2]) == est.marginal_gains((0,), [1, 2])
 
 
+def test_seeds_reused_from_the_last_query_are_checked_as_a_fresh_estimator_checks_them():
+    # lazy greedy's refreshes pass the seeds of the last query again, or those
+    # and one more; the estimator then reuses their key, but each call must
+    # raise, charge, store and answer as a fresh estimator's call does
+    graph, economics, samples, seed = TANGLED
+    n = graph.node_count
+
+    def fresh():
+        return BenefitEstimator(graph, economics, samples=samples, master_seed=seed)
+
+    canonical = mock.Mock(wraps=diffusion._canonical_seeds)
+    base = [4, 1]
+    for seeds, nodes, reused in (
+        (base + [True], [0], False),  # a bool is not a node id
+        (base + [-1], [0], False),
+        (base + [n], [0], False),
+        (base + [np.int64(3)], [0], False),  # a numpy int, canonicalised
+        (base + [1], [0], True),  # a duplicate leaves the key as it is
+        (base + [6], [6, 0], True),  # the new seed queried
+        (base + [6], [0, 4], True),  # an old seed queried
+        (base + [6], [0, 2], True),
+        ([4, True], [0], False),  # equal to the last seeds, but a bool
+        ([4.0, 1], [0], False),
+        (list(base), [0, 2], True),  # equal objects: the same seeds again
+    ):
+        est = fresh()
+        est.marginal_gains(base, [5])
+        want = fresh()
+        stored = {k: dict(v) for k, v in est._gains.items()}
+        before = est.evaluations
+        canonical.reset_mock()
+        try:
+            expected = want.marginal_gains(seeds, nodes)
+        except ValueError as exc:
+            with mock.patch.object(diffusion, "_canonical_seeds", canonical):
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    est.marginal_gains(seeds, nodes)
+            assert est.evaluations == before and {k: dict(v) for k, v in est._gains.items()} == stored, seeds
+        else:
+            canonical.reset_mock()
+            with mock.patch.object(diffusion, "_canonical_seeds", canonical):
+                got = est.marginal_gains(seeds, nodes)
+            assert [g.hex() for g in got] == [g.hex() for g in expected], seeds
+            assert est.evaluations - before == len(nodes), seeds
+            assert est._asked[1] == want._asked[1] == tuple(sorted({int(s) for s in seeds})), seeds
+        assert canonical.called != reused, seeds
+
+
 @given(instances(), st.data())
 def test_per_sample_benefits_match_the_reference_search(instance, data):
     # every value read from the index equals the fsum, world by world, of the
